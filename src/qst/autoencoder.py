@@ -37,83 +37,24 @@ ACTION_HEAD_STD = 0.003  # keeps untrained outputs near action scale
 ACTION_INPUT_SCALE = 16.0  # lifts ~0.05-scale actions to unit scale (exact in binary)
 
 
-@dataclass(frozen=True)
-class EncoderConfig:
-    T: int = 32
-    action_dim: int = 2
-    conv_kernels: tuple[int, ...] = (5, 3, 3)
-    conv_strides: tuple[int, ...] = (2, 2, 1)
-    dim: int = 256
-    attn_layers: int = 2
-    heads: int = 4
-    dropout: float = 0.1
-    causal: bool = True
-
-    @property
-    def downsampling(self) -> int:
-        return int(np.prod(self.conv_strides))
-
-    @property
-    def n_tokens(self) -> int:
-        return self.T // self.downsampling
-
-    @classmethod
-    def from_run_config(cls, cfg: RunConfig) -> "EncoderConfig":
-        return cls(
-            T=cfg.T,
-            action_dim=cfg.action_dim,
-            conv_kernels=cfg.conv_kernels,
-            conv_strides=cfg.conv_strides,
-            dim=cfg.encoder_dim,
-            attn_layers=cfg.encoder_layers,
-            heads=cfg.encoder_heads,
-            dropout=cfg.attention_dropout,
-            causal=cfg.encoder_causal,
-        )
-
-
-@dataclass(frozen=True)
-class DecoderConfig:
-    T: int = 32
-    action_dim: int = 2
-    dim: int = 256
-    layers: int = 4
-    heads: int = 4
-    dropout: float = 0.1
-    causal: bool = True
-    n_tokens: int = 8
-
-    @classmethod
-    def from_run_config(cls, cfg: RunConfig) -> "DecoderConfig":
-        return cls(
-            T=cfg.T,
-            action_dim=cfg.action_dim,
-            dim=cfg.decoder_dim,
-            layers=cfg.decoder_layers,
-            heads=cfg.decoder_heads,
-            dropout=cfg.attention_dropout,
-            causal=cfg.decoder_causal,
-            n_tokens=cfg.n_tokens,
-        )
-
-
 class SkillEncoder:
-    def __init__(self, rng: np.random.Generator, cfg: EncoderConfig):
+    def __init__(self, rng: np.random.Generator, cfg: RunConfig):
         self.cfg = cfg
+        dim = cfg.encoder_dim
         self.convs = []
         c_in = cfg.action_dim
         for ksize in cfg.conv_kernels:
             std = 1.0 / np.sqrt(ksize * c_in)
-            kernel = Tensor(rng.normal(0.0, std, size=(ksize, c_in, cfg.dim)), requires_grad=True)
-            bias = Tensor(np.zeros(cfg.dim), requires_grad=True)
+            kernel = Tensor(rng.normal(0.0, std, size=(ksize, c_in, dim)), requires_grad=True)
+            bias = Tensor(np.zeros(dim), requires_grad=True)
             self.convs.append((kernel, bias))
-            c_in = cfg.dim
+            c_in = dim
         self.blocks = [
-            TransformerBlock(rng, cfg.dim, cfg.heads, cfg.dropout)
-            for _ in range(cfg.attn_layers)
+            TransformerBlock(rng, dim, cfg.encoder_heads, cfg.attention_dropout)
+            for _ in range(cfg.encoder_layers)
         ]
-        self.ln_f = LayerNorm(cfg.dim)
-        self._mask = causal_mask(cfg.n_tokens) if cfg.causal else None
+        self.ln_f = LayerNorm(dim)
+        self._mask = causal_mask(cfg.n_tokens) if cfg.encoder_causal else None
 
     def __call__(self, actions: Tensor, rng=None, training=False) -> Tensor:
         if actions.shape[-2:] != (self.cfg.T, self.cfg.action_dim):
@@ -140,19 +81,20 @@ class SkillEncoder:
 
 
 class SkillDecoder:
-    def __init__(self, rng: np.random.Generator, cfg: DecoderConfig):
+    def __init__(self, rng: np.random.Generator, cfg: RunConfig):
         self.cfg = cfg
-        self.query_table = T.sinusoidal_table(cfg.T, cfg.dim)  # fixed, not learned
+        dim = cfg.decoder_dim
+        self.query_table = T.sinusoidal_table(cfg.T, dim)  # fixed, not learned
         self.token_pos = Tensor(
-            rng.normal(0.0, 0.02, size=(cfg.n_tokens, cfg.dim)), requires_grad=True
+            rng.normal(0.0, 0.02, size=(cfg.n_tokens, dim)), requires_grad=True
         )
         self.blocks = [
-            CrossAttentionBlock(rng, cfg.dim, cfg.heads, cfg.dropout)
-            for _ in range(cfg.layers)
+            CrossAttentionBlock(rng, dim, cfg.decoder_heads, cfg.attention_dropout)
+            for _ in range(cfg.decoder_layers)
         ]
-        self.ln_f = LayerNorm(cfg.dim)
-        self.head = Linear(rng, cfg.dim, cfg.action_dim, std=ACTION_HEAD_STD)
-        self._mask = causal_mask(cfg.T) if cfg.causal else None
+        self.ln_f = LayerNorm(dim)
+        self.head = Linear(rng, dim, cfg.action_dim, std=ACTION_HEAD_STD)
+        self._mask = causal_mask(cfg.T) if cfg.decoder_causal else None
 
     def __call__(
         self,
@@ -195,9 +137,9 @@ class SkillAutoencoder:
     def __init__(self, cfg: RunConfig, rng: np.random.Generator):
         self.cfg = cfg
         self.spec = FsqSpec(cfg.fsq_levels)
-        self.encoder = SkillEncoder(rng, EncoderConfig.from_run_config(cfg))
+        self.encoder = SkillEncoder(rng, cfg)
         self.fsq = FsqLayer(rng, self.spec, cfg.encoder_dim, cfg.decoder_dim)
-        self.decoder = SkillDecoder(rng, DecoderConfig.from_run_config(cfg))
+        self.decoder = SkillDecoder(rng, cfg)
 
     # -- inference ----------------------------------------------------------
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import header_int
 from .errors import (
     BadMagicError,
     DataFormatError,
@@ -91,7 +92,7 @@ class Checkpoint:
 
         meta: dict[str, str] = {}
         cfg_lines: list[str] = []
-        entries: list[tuple[str, tuple[int, ...], int]] = []
+        entries: dict[str, tuple[tuple[int, ...], int]] = {}
         for line in lines[1:]:
             if line.startswith("# meta "):
                 key, _, value = line[len("# meta ") :].partition(" = ")
@@ -105,12 +106,16 @@ class Checkpoint:
                 name, dtype, dims_text, offset_text = parts
                 if dtype != "f32":
                     raise DataFormatError(f"unsupported dtype {dtype!r} for '{name}'")
-                dims = tuple(int(d) for d in dims_text.split(",") if d)
-                entries.append((name, dims, int(offset_text)))
+                if name in entries:
+                    raise DataFormatError(f"parameter '{name}' is listed twice")
+                dims = tuple(
+                    header_int(d, f"dimension of '{name}'") for d in dims_text.split(",") if d
+                )
+                entries[name] = (dims, header_int(offset_text, f"offset of '{name}'"))
 
         params: dict[str, np.ndarray] = {}
         end = 0
-        for name, dims, offset in entries:
+        for name, (dims, offset) in entries.items():
             count = int(np.prod(dims)) if dims else 1
             nbytes = 4 * count
             if offset + nbytes > len(payload):

@@ -134,6 +134,15 @@ def window_arrays(
 # -- file IO -------------------------------------------------------------------
 
 
+def header_int(text: str, what: str, signed: bool = False) -> int:
+    """Parse one decimal integer of a file header; counts, dims and offsets
+    are unsigned."""
+    if re.fullmatch(r"-?\d+" if signed else r"\d+", text) is None:
+        kind = "an integer" if signed else "a non-negative integer"
+        raise DataFormatError(f"{what} must be {kind}, got {text!r}")
+    return int(text)
+
+
 def write_dataset(dataset: TrajectoryDataset, path) -> None:
     lines = [f"{MAGIC_PREFIX}{dataset.version}"]
     lines.append(f"seed {dataset.seed}")
@@ -181,9 +190,9 @@ def read_dataset(path) -> TrajectoryDataset:
         key, _, rest = line.partition(" ")
         if key == "episode":
             length_text, _, task = rest.partition(" ")
-            episode_meta.append((int(length_text), task))
+            episode_meta.append((header_int(length_text, "episode length"), task))
         elif key in ("seed", "episodes", "obs_dim", "act_dim"):
-            fields[key] = int(rest)
+            fields[key] = header_int(rest, key, signed=key == "seed")
         else:
             raise DataFormatError(f"unknown header line {line!r}")
     for required in ("seed", "episodes", "obs_dim", "act_dim"):

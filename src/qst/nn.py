@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
+from .errors import ConfigurationError
 from .tensor import Tensor
 
 
@@ -90,11 +91,7 @@ class MultiHeadAttention:
         q = self._split(self.wq(x))
         k = self._split(self.wk(source))
         v = self._split(self.wv(source))
-        scale = 1.0 / np.sqrt(self.head_dim)
-        scores = (q @ k.transpose(0, 1, 3, 2)) * scale
-        probs = T.masked_softmax(scores, mask)
-        probs = T.dropout(probs, self.dropout, rng, training)
-        out = probs @ v
+        out = T.masked_attention(q, k, v, mask, self.dropout, rng, training)
         b, _, t, _ = out.shape
         merged = out.transpose(0, 2, 1, 3).reshape(b, t, self.heads * self.head_dim)
         return self.wo(merged)
@@ -175,11 +172,15 @@ def load_params(params: dict[str, Tensor], arrays: dict[str, np.ndarray]) -> Non
     missing = set(params) - set(arrays)
     extra = set(arrays) - set(params)
     if missing or extra:
-        raise KeyError(f"parameter mismatch: missing={sorted(missing)} extra={sorted(extra)}")
+        raise ConfigurationError(
+            f"parameter mismatch: missing={sorted(missing)} extra={sorted(extra)}"
+        )
     for name, p in params.items():
         arr = np.asarray(arrays[name], dtype=np.float64)
         if arr.shape != p.data.shape:
-            raise KeyError(f"shape mismatch for '{name}': {arr.shape} vs {p.data.shape}")
+            raise ConfigurationError(
+                f"shape mismatch for '{name}': {arr.shape} vs {p.data.shape}"
+            )
         p.data = arr
 
 

@@ -50,10 +50,6 @@ class PriorConfig:
     def start_id(self) -> int:
         return self.vocab  # one extra embedding row marks sequence start
 
-    @property
-    def context_length(self) -> int:
-        return 1 + self.history + 1 + (self.n_tokens - 1)
-
     @classmethod
     def from_run_config(cls, cfg: RunConfig) -> "PriorConfig":
         return cls(
@@ -67,21 +63,6 @@ class PriorConfig:
             history=cfg.observation_history,
             obs_dim=cfg.obs_dim,
         )
-
-
-@dataclass
-class Observation:
-    """One timestep of sensing: proprioceptive state plus an image slot.
-
-    The image slot exists in the data model for parity with richer setups but
-    stays unused at this scale; batched code paths pass raw proprio arrays.
-    """
-
-    proprio: np.ndarray
-    image: np.ndarray | None = None
-
-    def vector(self) -> np.ndarray:
-        return np.asarray(self.proprio, dtype=np.float64)
 
 
 class ObservationEncoder:
@@ -179,6 +160,9 @@ class SkillPrior:
             )
         if tokens.size and (tokens.min() < 0 or tokens.max() >= cfg.vocab):
             raise RangeError(f"skill token id out of range [0, {cfg.vocab})")
+        tasks = len(self.task_names)
+        if task_idx.size and (task_idx.min() < 0 or task_idx.max() >= tasks):
+            raise RangeError(f"task id out of range [0, {tasks})")
 
         parts = [
             T.reshape(T.embedding(self.task_table, task_idx), (batch, 1, cfg.dim)),
@@ -270,11 +254,6 @@ def _sample_top_k(logits: np.ndarray, k: int, temperature: float, rng) -> int:
     probs = np.exp(scaled)
     probs /= probs.sum()
     return int(top[rng.choice(k, p=probs)])
-
-
-def greedy_nll_of_uniform(vocab: int) -> float:
-    """Analytic NLL of a uniform predictor, for oracle tests."""
-    return float(np.log(vocab))
 
 
 # -- training -------------------------------------------------------------------

@@ -496,13 +496,20 @@ def causal_conv1d(x: Tensor, kernel: Tensor, stride: int) -> Tensor:
 
 
 def masked_attention(
-    queries: Tensor, keys: Tensor, values: Tensor, mask: np.ndarray | None = None
+    queries: Tensor,
+    keys: Tensor,
+    values: Tensor,
+    mask: np.ndarray | None = None,
+    p: float = 0.0,
+    rng: np.random.Generator | None = None,
+    training: bool = False,
 ) -> Tensor:
     """Scaled dot-product attention restricted to mask-allowed positions.
 
-    Each output row is a convex combination of value rows j with mask[i][j]
-    True.  Shapes are (..., Tq, D) / (..., Tk, D) with a (Tq, Tk)-broadcastable
-    boolean mask.
+    Each output row is a combination of value rows j with mask[i][j] True:
+    convex at evaluation, and in training mode with the attention
+    probabilities passed through ``dropout(p, rng, training)``.  Shapes are
+    (..., Tq, D) / (..., Tk, D) with a (Tq, Tk)-broadcastable boolean mask.
     """
     if keys.shape[-1] != queries.shape[-1]:
         raise DimensionError("queries and keys must share the feature dimension")
@@ -510,7 +517,7 @@ def masked_attention(
         raise DimensionError("keys and values must share the sequence length")
     scale = 1.0 / np.sqrt(queries.shape[-1])
     scores = mul(matmul(queries, transpose(keys, _swap_last(keys.ndim))), _wrap(scale))
-    probs = masked_softmax(scores, mask)
+    probs = dropout(masked_softmax(scores, mask), p, rng, training)
     return matmul(probs, values)
 
 

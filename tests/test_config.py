@@ -136,6 +136,22 @@ class TestCheckpoint:
         with pytest.raises(DataFormatError):
             Checkpoint.load(path)
 
+    @pytest.mark.parametrize(
+        "old,new,match",
+        [
+            (b"\t3,4\t0", b"\t3,a\t0", "integer"),
+            (b"\t7\t48", b"\t7\tx", "integer"),
+            (b"\t7\t48", b"\t7\t-48", "offset"),
+            (b"decoder.b\t", b"encoder.w\t", "twice"),
+        ],
+        ids=["dims", "offset", "negative-offset", "repeated-name"],
+    )
+    def test_bad_parameter_line_rejected(self, old, new, match):
+        raw = self._make().to_bytes()
+        assert old in raw
+        with pytest.raises(DataFormatError, match=match):
+            Checkpoint.from_bytes(raw.replace(old, new, 1))
+
     def test_float32_storage(self):
         ckpt = self._make()
         assert all(arr.dtype == np.dtype("<f4") for arr in ckpt.params.values())

@@ -90,6 +90,15 @@ class TestLogits:
         with pytest.raises(ConfigurationError):
             prior.logits(task_idx, obs, rng.integers(0, 1000, size=(3, 8)))
 
+    def test_task_id_out_of_range(self):
+        prior = small_prior()
+        rng = np.random.default_rng(12)
+        _, obs = context_batch(rng, batch=1)
+        tokens = np.zeros((1, 0), dtype=int)
+        for bad in (-1, 2):
+            with pytest.raises(RangeError, match="task id"):
+                prior.logits(np.array([bad]), obs, tokens)
+
     def test_untrained_nll_is_near_uniform(self):
         cfg = RunConfig()
         prior = SkillPrior(
@@ -150,6 +159,25 @@ class TestNll:
             lambda: prior.nll(task_idx, obs, targets), prior.params()
         )
         assert err < 1e-4
+
+
+class TestFromCheckpoint:
+    def _checkpoint(self):
+        cfg = tiny_config()
+        prior = SkillPrior(PriorConfig.from_run_config(cfg), ["a"], np.random.default_rng(0))
+        return prior.to_checkpoint(cfg, {})
+
+    def test_missing_parameter_is_configuration_error(self):
+        ckpt = self._checkpoint()
+        del ckpt.params["prior.ln_f.gain"]
+        with pytest.raises(ConfigurationError, match="prior.ln_f.gain"):
+            SkillPrior.from_checkpoint(ckpt)
+
+    def test_reshaped_parameter_is_configuration_error(self):
+        ckpt = self._checkpoint()
+        ckpt.params["prior.head.bias"] = ckpt.params["prior.head.bias"][:-1]
+        with pytest.raises(ConfigurationError, match="shape mismatch"):
+            SkillPrior.from_checkpoint(ckpt)
 
 
 class TestSampling:

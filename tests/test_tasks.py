@@ -8,6 +8,7 @@ from qst.data import TrajectoryDataset, read_dataset, window_starts, write_datas
 from qst.errors import (
     ArgumentError,
     BadMagicError,
+    DataFormatError,
     TruncatedFileError,
     VersionError,
 )
@@ -194,6 +195,18 @@ class TestDatasetIO:
         p = tmp_path / "a.qstd"
         p.write_bytes(b"QSTD9\nseed 0\nepisodes 0\nobs_dim 0\nact_dim 0\n\n")
         with pytest.raises(VersionError):
+            read_dataset(p)
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("seed", "x"), ("episodes", "1.0"), ("obs_dim", "-4"), ("act_dim", "2,a"), ("episode", "-3 a")],
+    )
+    def test_header_number_not_an_integer_rejected(self, tmp_path, key, value):
+        header = {"seed": "0", "episodes": "1", "obs_dim": "4", "act_dim": "2", "episode": "3 a"}
+        header[key] = value
+        p = tmp_path / "a.qstd"
+        p.write_text("QSTD1\n" + "".join(f"{k} {v}\n" for k, v in header.items()) + "\n")
+        with pytest.raises(DataFormatError, match="integer"):
             read_dataset(p)
 
     def test_empty_dataset_roundtrips_but_training_rejects(self, tmp_path):
