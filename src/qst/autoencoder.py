@@ -23,12 +23,14 @@ from .errors import ArgumentError, DimensionError
 from .fsq import FsqLayer, FsqSpec, bound, code_to_index, index_to_code, quantize
 from .metrics import MetricsWriter
 from .nn import (
+    CausalConv,
     CrossAttentionBlock,
     LayerNorm,
     Linear,
     TransformerBlock,
     causal_mask,
     load_params,
+    named_params,
 )
 from .optim import Adam
 from .tensor import Tensor
@@ -41,14 +43,11 @@ class SkillEncoder:
     def __init__(self, rng: np.random.Generator, cfg: RunConfig):
         self.cfg = cfg
         dim = cfg.encoder_dim
-        self.convs = []
-        c_in = cfg.action_dim
-        for ksize in cfg.conv_kernels:
-            std = 1.0 / np.sqrt(ksize * c_in)
-            kernel = Tensor(rng.normal(0.0, std, size=(ksize, c_in, dim)), requires_grad=True)
-            bias = Tensor(np.zeros(dim), requires_grad=True)
-            self.convs.append((kernel, bias))
-            c_in = dim
+        widths = (cfg.action_dim,) + (dim,) * (len(cfg.conv_kernels) - 1)
+        self.convs = [
+            CausalConv(rng, ksize, c_in, dim, stride)
+            for ksize, c_in, stride in zip(cfg.conv_kernels, widths, cfg.conv_strides)
+        ]
         self.blocks = [
             TransformerBlock(rng, dim, cfg.encoder_heads, cfg.attention_dropout)
             for _ in range(cfg.encoder_layers)
@@ -63,21 +62,11 @@ class SkillEncoder:
                 f"got {actions.shape}"
             )
         x = actions * ACTION_INPUT_SCALE
-        for (kernel, bias), stride in zip(self.convs, self.cfg.conv_strides):
-            x = T.gelu(T.causal_conv1d(x, kernel, stride) + bias)
+        for conv in self.convs:
+            x = T.gelu(conv(x))
         for block in self.blocks:
             x = block(x, mask=self._mask, rng=rng, training=training)
         return self.ln_f(x)
-
-    def params(self, prefix: str = "encoder") -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for i, (kernel, bias) in enumerate(self.convs):
-            out[f"{prefix}.conv{i}.kernel"] = kernel
-            out[f"{prefix}.conv{i}.bias"] = bias
-        for i, block in enumerate(self.blocks):
-            out.update(block.params(f"{prefix}.block{i}"))
-        out.update(self.ln_f.params(f"{prefix}.ln_f"))
-        return out
 
 
 class SkillDecoder:
@@ -113,15 +102,6 @@ class SkillDecoder:
         for block in self.blocks:
             x = block(x, kv, self_mask=self._mask, rng=rng, training=training)
         return self.head(self.ln_f(x))
-
-    def params(self, prefix: str = "decoder") -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {f"{prefix}.token_pos": self.token_pos}
-        out.update(self.ln_kv.params(f"{prefix}.ln_kv"))
-        for i, block in enumerate(self.blocks):
-            out.update(block.params(f"{prefix}.block{i}"))
-        out.update(self.ln_f.params(f"{prefix}.ln_f"))
-        out.update(self.head.params(f"{prefix}.head"))
-        return out
 
 
 @dataclass
@@ -194,19 +174,14 @@ class SkillAutoencoder:
         return T.l1_loss(pred, target)
 
     def params(self) -> dict[str, Tensor]:
-        out = self.encoder.params("encoder")
-        out.update(self.fsq.params("fsq"))
-        out.update(self.decoder.params("decoder"))
-        return out
+        return named_params(self)
 
     def encoder_side_params(self) -> dict[str, Tensor]:
         """Everything frozen after stage 1 from the prior's point of view."""
-        out = self.encoder.params("encoder")
-        out.update(self.fsq.params("fsq"))
-        return out
+        return named_params(self.encoder, "encoder") | named_params(self.fsq, "fsq")
 
     def decoder_side_params(self) -> dict[str, Tensor]:
-        return self.decoder.params("decoder")
+        return named_params(self.decoder, "decoder")
 
     @classmethod
     def from_checkpoint(cls, ckpt: Checkpoint) -> "SkillAutoencoder":

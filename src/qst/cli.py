@@ -305,6 +305,11 @@ def run_grad_check_suite(seed: int) -> float:
         check(f"square[{trial}]", grad_check(lambda t: (t**2.0).sum(), x))
     w = rng.normal(size=(3, 4))
     check("matmul", grad_check(lambda t: (t @ Tensor(w)).tanh().sum(), rng.normal(size=(5, 3))))
+    bias = Tensor(rng.normal(size=4))
+    check(
+        "linear",
+        grad_check(lambda t: T.linear(t, Tensor(w), bias).tanh().sum(), rng.normal(size=(2, 5, 3))),
+    )
     check("tanh", grad_check(lambda t: t.tanh().sum(), rng.normal(size=8)))
     check("gelu", grad_check(lambda t: t.gelu().sum(), rng.normal(size=8)))
     relu_point = rng.normal(size=8)

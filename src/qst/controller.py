@@ -19,6 +19,7 @@ from .autoencoder import SkillAutoencoder
 from .checkpoint import Checkpoint
 from .config import RunConfig
 from .errors import ConfigurationError
+from .nn import load_params
 from .prior import SkillPrior
 from .tasks import PointEnv, get_task
 
@@ -93,14 +94,8 @@ class Policy:
         if tuple(self.autoencoder.cfg.fsq_levels) != tuple(self.run_config.fsq_levels):
             raise ConfigurationError("stage-1/stage-2 quantizer specs differ")
         if stage2_ckpt.meta.get("decoder_finetuned") == "true":
-            overrides = {
-                k: v.astype(np.float64)
-                for k, v in stage2_ckpt.params.items()
-                if k.startswith("decoder.")
-            }
-            decoder_params = self.autoencoder.decoder_side_params()
-            for key, arr in overrides.items():
-                decoder_params[key].data = arr
+            overrides = {k: v for k, v in stage2_ckpt.params.items() if k.startswith("decoder.")}
+            load_params(self.autoencoder.decoder_side_params(), overrides)
 
     def task_index(self, task_name: str) -> int:
         return self.prior.task_index(task_name)

@@ -15,7 +15,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ArgumentError, ConfigurationError, RangeError
 from .nn import Linear
-from .tensor import Tensor, _node
+from .tensor import Tensor
 
 
 @dataclass(frozen=True)
@@ -76,11 +76,6 @@ def bound(e: Tensor, spec: FsqSpec) -> Tensor:
     return T.tanh(shifted) * Tensor(spec.half_widths) - Tensor(spec.offsets)
 
 
-def round_ste(x: Tensor) -> Tensor:
-    """Round to the nearest integer; the backward pass is the identity."""
-    return _node(np.round(x.data), (x,), lambda g: (g,))
-
-
 def quantize(e: Tensor, spec: FsqSpec) -> tuple[np.ndarray, Tensor]:
     """Quantize bounded embeddings.
 
@@ -88,7 +83,7 @@ def quantize(e: Tensor, spec: FsqSpec) -> tuple[np.ndarray, Tensor]:
     dimension, and the rounded tensor whose gradient is that of ``bound``
     alone (rounding contributes identity).
     """
-    ste = round_ste(bound(e, spec))
+    ste = T.round_ste(bound(e, spec))
     digits = np.rint(ste.data - spec.grid_min).astype(np.int64)
     return digits, ste
 
@@ -197,8 +192,3 @@ class FsqLayer:
         """Rounding-free path: the exact function the straight-through
         estimator differentiates, used by gradient checks."""
         return self.out_proj(bound(self.in_proj(h), self.spec))
-
-    def params(self, prefix: str = "fsq") -> dict[str, Tensor]:
-        out = self.in_proj.params(f"{prefix}.in_proj")
-        out.update(self.out_proj.params(f"{prefix}.out_proj"))
-        return out

@@ -1,8 +1,9 @@
 """Small neural-net building blocks on top of the tensor engine.
 
-Every module exposes ``params(prefix)`` returning a flat name->Tensor dict;
-checkpoints and optimizers work on those dicts.  Forward passes thread the
-run's random generator and a ``training`` flag for dropout.
+A module's parameters are its ``Tensor`` attributes: :func:`named_params`
+collects them into the flat name->Tensor dict that checkpoints and
+optimizers work on.  Forward passes thread the run's random generator and a
+``training`` flag for dropout.
 """
 
 from __future__ import annotations
@@ -12,6 +13,25 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigurationError
 from .tensor import Tensor
+
+
+def named_params(module, prefix: str = "") -> dict[str, Tensor]:
+    """Every ``Tensor`` attribute of ``module`` and its sub-modules (attributes
+    with a ``__dict__``), named by dotted attribute path after ``prefix`` in
+    assignment order; a list attribute ``xs`` names its items ``x0``, ``x1``."""
+    out: dict[str, Tensor] = {}
+    for attr, value in vars(module).items():
+        if isinstance(value, list):
+            items = [(f"{attr[:-1]}{i}", item) for i, item in enumerate(value)]
+        else:
+            items = [(attr, value)]
+        for name, item in items:
+            path = f"{prefix}.{name}" if prefix else name
+            if isinstance(item, Tensor):
+                out[path] = item
+            elif hasattr(item, "__dict__"):
+                out.update(named_params(item, path))
+    return out
 
 
 def causal_mask(length: int) -> np.ndarray:
@@ -27,15 +47,20 @@ class Linear:
         self.bias = Tensor(np.zeros(d_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.ndim > 2:
-            # one large GEMM instead of a stack of small ones
-            lead = x.shape[:-1]
-            flat = x.reshape(int(np.prod(lead)), x.shape[-1])
-            return (flat @ self.weight + self.bias).reshape(*lead, -1)
-        return x @ self.weight + self.bias
+        return T.linear(x, self.weight, self.bias)
 
-    def params(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}
+
+class CausalConv:
+    """Causal strided 1D convolution plus bias (see ``tensor.causal_conv1d``)."""
+
+    def __init__(self, rng: np.random.Generator, ksize: int, c_in: int, c_out: int, stride: int):
+        std = 1.0 / np.sqrt(ksize * c_in)
+        self.kernel = Tensor(rng.normal(0.0, std, size=(ksize, c_in, c_out)), requires_grad=True)
+        self.bias = Tensor(np.zeros(c_out), requires_grad=True)
+        self.stride = stride
+
+    def __call__(self, x: Tensor) -> Tensor:
+        return T.causal_conv1d(x, self.kernel, self.stride) + self.bias
 
 
 class LayerNorm:
@@ -46,9 +71,6 @@ class LayerNorm:
     def __call__(self, x: Tensor) -> Tensor:
         return T.layer_norm(x, self.gain, self.bias)
 
-    def params(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.gain": self.gain, f"{prefix}.bias": self.bias}
-
 
 class Embedding:
     def __init__(self, rng: np.random.Generator, rows: int, dim: int, std: float = 0.02):
@@ -56,9 +78,6 @@ class Embedding:
 
     def __call__(self, indices: np.ndarray) -> Tensor:
         return T.embedding(self.table, indices)
-
-    def params(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.table": self.table}
 
 
 class MultiHeadAttention:
@@ -96,14 +115,6 @@ class MultiHeadAttention:
         merged = out.transpose(0, 2, 1, 3).reshape(b, t, self.heads * self.head_dim)
         return self.wo(merged)
 
-    def params(self, prefix: str) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        out.update(self.wq.params(f"{prefix}.wq"))
-        out.update(self.wk.params(f"{prefix}.wk"))
-        out.update(self.wv.params(f"{prefix}.wv"))
-        out.update(self.wo.params(f"{prefix}.wo"))
-        return out
-
 
 class FeedForward:
     def __init__(self, rng: np.random.Generator, dim: int, hidden: int | None = None):
@@ -113,9 +124,6 @@ class FeedForward:
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc2(T.relu(self.fc1(x)))
-
-    def params(self, prefix: str) -> dict[str, Tensor]:
-        return {**self.fc1.params(f"{prefix}.fc1"), **self.fc2.params(f"{prefix}.fc2")}
 
 
 class TransformerBlock:
@@ -130,14 +138,6 @@ class TransformerBlock:
     def __call__(self, x, mask=None, rng=None, training=False):
         x = x + self.attn(self.ln1(x), mask=mask, rng=rng, training=training)
         return x + self.ffn(self.ln2(x))
-
-    def params(self, prefix: str) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        out.update(self.ln1.params(f"{prefix}.ln1"))
-        out.update(self.attn.params(f"{prefix}.attn"))
-        out.update(self.ln2.params(f"{prefix}.ln2"))
-        out.update(self.ffn.params(f"{prefix}.ffn"))
-        return out
 
 
 class CrossAttentionBlock:
@@ -155,16 +155,6 @@ class CrossAttentionBlock:
         x = x + self.self_attn(self.ln_self(x), mask=self_mask, rng=rng, training=training)
         x = x + self.cross_attn(self.ln_cross(x), kv=kv, rng=rng, training=training)
         return x + self.ffn(self.ln_ffn(x))
-
-    def params(self, prefix: str) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        out.update(self.ln_self.params(f"{prefix}.ln_self"))
-        out.update(self.self_attn.params(f"{prefix}.self_attn"))
-        out.update(self.ln_cross.params(f"{prefix}.ln_cross"))
-        out.update(self.cross_attn.params(f"{prefix}.cross_attn"))
-        out.update(self.ln_ffn.params(f"{prefix}.ln_ffn"))
-        out.update(self.ffn.params(f"{prefix}.ffn"))
-        return out
 
 
 def load_params(params: dict[str, Tensor], arrays: dict[str, np.ndarray]) -> None:

@@ -11,10 +11,12 @@ from .tensor import Tensor
 class Adam:
     """Standard Adam with bias correction.
 
-    Parameters are updated in place between steps (each training step builds a
-    fresh graph, so no live graph ever observes the mutation).  Parameters
-    whose ``.grad`` is ``None`` are skipped; a non-finite gradient aborts the
-    whole update before any parameter is touched.
+    ``step`` updates each parameter's array in place (graphs capture these
+    arrays, so a graph built before a step must not be back-propagated after
+    it) and then releases its gradient (``.grad = None``), so gradients do not
+    stay alive until the next step.  Parameters whose ``.grad`` is ``None`` are
+    skipped; a non-finite gradient aborts the whole update before any
+    parameter or gradient is touched.
     """
 
     def __init__(
@@ -60,4 +62,5 @@ class Adam:
             denom += self.eps
             update = np.divide(m, denom, out=denom)
             update *= self.lr / correction1
-            p.data = p.data - update
+            p.data -= update
+            p.grad = None

@@ -28,6 +28,7 @@ from .nn import (
     TransformerBlock,
     causal_mask,
     load_params,
+    named_params,
     set_requires_grad,
 )
 from .optim import Adam
@@ -75,9 +76,6 @@ class ObservationEncoder:
     def __call__(self, obs: Tensor) -> Tensor:
         return self.fc2(T.gelu(self.fc1(obs)))
 
-    def params(self, prefix: str) -> dict[str, Tensor]:
-        return {**self.fc1.params(f"{prefix}.fc1"), **self.fc2.params(f"{prefix}.fc2")}
-
 
 class SkillPrior:
     def __init__(self, cfg: PriorConfig, task_names: list[str], rng: np.random.Generator):
@@ -89,7 +87,7 @@ class SkillPrior:
         self.task_table = Tensor(
             rng.normal(0.0, 0.02, size=(len(task_names), cfg.dim)), requires_grad=True
         )
-        self.obs_encoder = ObservationEncoder(rng, cfg.obs_dim, cfg.dim)
+        self.obs = ObservationEncoder(rng, cfg.obs_dim, cfg.dim)
         self.blocks = [
             TransformerBlock(rng, cfg.dim, cfg.heads, cfg.attn_dropout)
             for _ in range(cfg.layers)
@@ -117,15 +115,8 @@ class SkillPrior:
         self.task_names.append(name)
         return len(self.task_names) - 1
 
-    def params(self, prefix: str = "prior") -> dict[str, Tensor]:
-        out = self.token_emb.params(f"{prefix}.token_emb")
-        out[f"{prefix}.task_table"] = self.task_table
-        out.update(self.obs_encoder.params(f"{prefix}.obs"))
-        for i, block in enumerate(self.blocks):
-            out.update(block.params(f"{prefix}.block{i}"))
-        out.update(self.ln_f.params(f"{prefix}.ln_f"))
-        out.update(self.head.params(f"{prefix}.head"))
-        return out
+    def params(self) -> dict[str, Tensor]:
+        return named_params(self, "prior")
 
     # -- forward ---------------------------------------------------------------
 
@@ -166,7 +157,7 @@ class SkillPrior:
 
         parts = [
             T.reshape(T.embedding(self.task_table, task_idx), (batch, 1, cfg.dim)),
-            self.obs_encoder(Tensor(obs)),
+            self.obs(Tensor(obs)),
             self.token_emb(np.full((batch, 1), cfg.start_id)),
         ]
         if n_given:

@@ -1,11 +1,13 @@
 """Dense 64-bit tensors with reverse-mode automatic differentiation.
 
-The graph is built eagerly: every operation stores its parent tensors and a
-closure that maps the output gradient to parent gradients.  ``backward()``
-walks the graph in reverse topological order, keeping gradients of
-intermediate nodes in a transient table and accumulating (adding, never
-overwriting) into ``.grad`` of leaf tensors only.  Calling ``backward()``
-twice therefore doubles leaf gradients exactly.
+The graph is built eagerly: every operation records a node (see ``_op``)
+holding a closure that maps the output gradient to input gradients.  A
+closure captures only the arrays and shapes its backward pass reads, never a
+tensor, so an op output that no backward reads is freed as soon as the
+caller drops it.  ``backward()`` walks the nodes in reverse topological
+order, keeping gradients of intermediate nodes in a transient table and
+accumulating (adding, never overwriting) into ``.grad`` of leaf tensors
+only.  Calling ``backward()`` twice therefore doubles leaf gradients exactly.
 
 All data is float64; 32-bit floats appear only at serialization boundaries.
 Integer index arrays (embedding lookups, classification targets) are plain
@@ -42,14 +44,13 @@ def no_grad():
 class Tensor:
     """A numpy array plus the bookkeeping needed for reverse-mode autodiff."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward = None
+        self._node: tuple | None = None  # (backward, parents); see _op
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -86,9 +87,10 @@ class Tensor:
                 raise DimensionError(f"seed shape {seed.shape} != tensor shape {self.shape}")
 
         # Iterative DFS: model graphs are deep enough to overflow recursion.
-        topo: list[Tensor] = []
+        root = self if self._node is None else self._node
+        topo: list = []
         visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple] = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -98,20 +100,22 @@ class Tensor:
                 continue
             visited.add(id(node))
             stack.append((node, True))
-            for parent in node._parents:
-                if parent.requires_grad and id(parent) not in visited:
-                    stack.append((parent, False))
+            if type(node) is tuple:
+                for parent in node[1]:
+                    if parent is not None and id(parent) not in visited:
+                        stack.append((parent, False))
 
-        flows: dict[int, np.ndarray] = {id(self): seed}
+        flows: dict[int, np.ndarray] = {id(root): seed}
         for node in reversed(topo):
             out_grad = flows.pop(id(node), None)
             if out_grad is None:
                 continue
-            if node._backward is None:
+            if type(node) is not tuple:
                 node.grad = out_grad if node.grad is None else node.grad + out_grad
                 continue
-            for parent, parent_grad in zip(node._parents, node._backward(out_grad)):
-                if parent_grad is None or not parent.requires_grad:
+            backward, parents = node
+            for parent, parent_grad in zip(parents, backward(out_grad)):
+                if parent is None or parent_grad is None:
                     continue
                 key = id(parent)
                 if key in flows:
@@ -186,19 +190,19 @@ def _wrap(value) -> Tensor:
     return Tensor(np.asarray(value, dtype=np.float64))
 
 
-def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
-    """Build an op output without re-copying ``data`` (may be a view)."""
+def _op(data: np.ndarray, inputs: tuple[Tensor, ...], backward) -> Tensor:
+    """Build an op output without re-copying ``data`` (may be a view).
+
+    Its node is ``(backward, parents)``, with per input its node, the input
+    itself if it is a leaf, or None if it needs no gradient.
+    """
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backward = backward
-    else:
-        out.requires_grad = False
-        out._parents = ()
-        out._backward = None
+    out.requires_grad = _grad_enabled and any(t.requires_grad for t in inputs)
+    out._node = None
+    if out.requires_grad:
+        out._node = (backward, tuple(t._node or (t if t.requires_grad else None) for t in inputs))
     return out
 
 
@@ -217,72 +221,89 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    return _node(
+    a_shape, b_shape = a.shape, b.shape
+    return _op(
         a.data + b.data,
         (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
+        lambda g: (_unbroadcast(g, a_shape), _unbroadcast(g, b_shape)),
     )
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    return _node(
+    a_shape, b_shape = a.shape, b.shape
+    return _op(
         a.data - b.data,
         (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)),
+        lambda g: (_unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)),
     )
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    return _node(
-        a.data * b.data,
-        (a, b),
-        lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)),
-    )
+    a_shape, b_shape = a.shape, b.shape
+    # each gradient reads the other operand: keep only the ones needed
+    da = b.data if a.requires_grad else None
+    db = a.data if b.requires_grad else None
+
+    def backward(g):
+        return (
+            None if da is None else _unbroadcast(g * da, a_shape),
+            None if db is None else _unbroadcast(g * db, b_shape),
+        )
+
+    return _op(a.data * b.data, (a, b), backward)
 
 
 def power(x: Tensor, exponent: float) -> Tensor:
     p = float(exponent)
-    return _node(x.data**p, (x,), lambda g: (g * p * x.data ** (p - 1.0),))
+    xd = x.data
+    return _op(xd**p, (x,), lambda g: (g * p * xd ** (p - 1.0),))
 
 
 def tanh(x: Tensor) -> Tensor:
     t = np.tanh(x.data)
-    return _node(t, (x,), lambda g: (g * (1.0 - t * t),))
+    return _op(t, (x,), lambda g: (g * (1.0 - t * t),))
 
 
 def relu(x: Tensor) -> Tensor:
-    out = np.maximum(x.data, 0.0)
-    return _node(out, (x,), lambda g: (g * (x.data > 0.0),))
+    out = np.maximum(x.data, 0.0)  # positive exactly where the input is
+    return _op(out, (x,), lambda g: (g * (out > 0.0),))
 
 
 def gelu(x: Tensor) -> Tensor:
     """Exact (erf-based) GELU."""
-    cdf = 0.5 * (1.0 + _erf(x.data * _INV_SQRT2))
-    out = x.data * cdf
+    xd = x.data
+    cdf = 0.5 * (1.0 + _erf(xd * _INV_SQRT2))
 
     def backward(g):
-        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
-        return (g * (cdf + x.data * pdf),)
+        pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT_2PI
+        return (g * (cdf + xd * pdf),)
 
-    return _node(out, (x,), backward)
+    return _op(xd * cdf, (x,), backward)
 
 
 def absolute(x: Tensor) -> Tensor:
-    return _node(np.abs(x.data), (x,), lambda g: (g * np.sign(x.data),))
+    xd = x.data
+    return _op(np.abs(xd), (x,), lambda g: (g * np.sign(xd),))
+
+
+def round_ste(x: Tensor) -> Tensor:
+    """Round to the nearest integer; the backward pass is the identity."""
+    return _op(np.round(x.data), (x,), lambda g: (g,))
 
 
 # -- reductions ------------------------------------------------------------
 
 
 def total(x: Tensor) -> Tensor:
+    shape = x.shape
     out = np.asarray(x.data.sum())
-    return _node(out, (x,), lambda g: (np.broadcast_to(g, x.shape).copy(),))
+    return _op(out, (x,), lambda g: (np.broadcast_to(g, shape).copy(),))
 
 
 def mean(x: Tensor) -> Tensor:
-    n = x.size
+    n, shape = x.size, x.shape
     out = np.asarray(x.data.mean())
-    return _node(out, (x,), lambda g: (np.broadcast_to(g / n, x.shape).copy(),))
+    return _op(out, (x,), lambda g: (np.broadcast_to(g / n, shape).copy(),))
 
 
 def l1_loss(prediction: Tensor, target: Tensor) -> Tensor:
@@ -294,25 +315,27 @@ def l1_loss(prediction: Tensor, target: Tensor) -> Tensor:
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    return _node(x.data.reshape(shape), (x,), lambda g: (g.reshape(x.shape),))
+    x_shape = x.shape
+    return _op(x.data.reshape(shape), (x,), lambda g: (g.reshape(x_shape),))
 
 
 def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     inverse = tuple(np.argsort(axes))
-    return _node(np.transpose(x.data, axes), (x,), lambda g: (np.transpose(g, inverse),))
+    return _op(np.transpose(x.data, axes), (x,), lambda g: (np.transpose(g, inverse),))
 
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
+    x_shape = x.shape
     index = [slice(None)] * x.ndim
     index[axis] = slice(start, start + length)
     index = tuple(index)
 
     def backward(g):
-        full = np.zeros(x.shape, dtype=np.float64)
+        full = np.zeros(x_shape, dtype=np.float64)
         full[index] = g
         return (full,)
 
-    return _node(x.data[index], (x,), backward)
+    return _op(x.data[index], (x,), backward)
 
 
 def concat(tensors: list[Tensor], axis: int) -> Tensor:
@@ -322,7 +345,7 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
     def backward(g):
         return tuple(np.split(g, splits, axis=axis))
 
-    return _node(data, tuple(tensors), backward)
+    return _op(data, tuple(tensors), backward)
 
 
 # -- linear algebra ----------------------------------------------------------
@@ -334,13 +357,34 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError("matmul operands must have at least 2 dimensions")
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
+    ad, bd = a.data, b.data
 
     def backward(g):
-        ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
-        gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+        ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape)
+        gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape)
         return (ga, gb)
 
-    return _node(np.matmul(a.data, b.data), (a, b), backward)
+    return _op(np.matmul(ad, bd), (a, b), backward)
+
+
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """``x @ weight + bias`` for x (..., Din) with at least 2 dimensions, as
+    one GEMM over the flattened leading axes; weight (Din, Dout), bias (Dout,)."""
+    if x.ndim < 2 or weight.ndim != 2:
+        raise DimensionError("linear needs an input of at least 2 dimensions and a 2-D weight")
+    d_in, d_out = weight.shape
+    if x.shape[-1] != d_in:
+        raise DimensionError(f"linear inner dims differ: {x.shape} @ {weight.shape}")
+    x_shape, w = x.shape, weight.data
+    flat = x.data.reshape(-1, d_in)
+    out = np.matmul(flat, w)
+    out += bias.data
+
+    def backward(g):
+        g2 = g.reshape(-1, d_out)
+        return (np.matmul(g2, w.T).reshape(x_shape), np.matmul(flat.T, g2), g2.sum(axis=0))
+
+    return _op(out.reshape(x_shape[:-1] + (d_out,)), (x, weight, bias), backward)
 
 
 # -- lookup / normalization / classification --------------------------------
@@ -352,12 +396,14 @@ def embedding(table: Tensor, indices: np.ndarray) -> Tensor:
     if not np.issubdtype(idx.dtype, np.integer):
         raise DimensionError("embedding indices must be integers")
 
+    table_shape = table.shape
+
     def backward(g):
-        gt = np.zeros(table.shape, dtype=np.float64)
+        gt = np.zeros(table_shape, dtype=np.float64)
         np.add.at(gt, idx, g)
         return (gt,)
 
-    return _node(table.data[idx], (table,), backward)
+    return _op(table.data[idx], (table,), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -367,10 +413,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var = (centered * centered).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     normed = centered * inv
-    out = normed * gain.data + bias.data
+    gd = gain.data
+    out = normed * gd + bias.data
 
     def backward(g):
-        gn = g * gain.data
+        gn = g * gd
         # d/dx of (x - mu) * inv with mu, inv both functions of x.
         gx = inv * (
             gn
@@ -382,7 +429,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         gbias = g.sum(axis=reduce_axes)
         return (gx, ggain, gbias)
 
-    return _node(out, (x, gain, bias), backward)
+    return _op(out, (x, gain, bias), backward)
 
 
 def masked_softmax(scores: Tensor, mask: np.ndarray | None = None) -> Tensor:
@@ -407,7 +454,7 @@ def masked_softmax(scores: Tensor, mask: np.ndarray | None = None) -> Tensor:
         inner = (g * probs).sum(axis=-1, keepdims=True)
         return (probs * (g - inner),)
 
-    return _node(probs, (scores,), backward)
+    return _op(probs, (scores,), backward)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -431,13 +478,14 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     lse = m[:, 0] + np.log(np.exp(flat - m).sum(axis=-1))
     picked = flat[np.arange(n), flat_idx]
     out = np.asarray((lse - picked).mean())
+    logits_shape = logits.shape
 
     def backward(g):
         soft = np.exp(flat - lse[:, None])
         soft[np.arange(n), flat_idx] -= 1.0
-        return ((g / n) * soft.reshape(logits.shape),)
+        return ((g / n) * soft.reshape(logits_shape),)
 
-    return _node(out, (logits,), backward)
+    return _op(out, (logits,), backward)
 
 
 # -- stochastic / structured ops ---------------------------------------------
@@ -477,22 +525,23 @@ def causal_conv1d(x: Tensor, kernel: Tensor, stride: int) -> Tensor:
     padded = np.concatenate([np.zeros((batch, ksize - 1, c_in)), xd], axis=1)
     stop = (t_out - 1) * stride + 1
     out = np.zeros((batch, t_out, c_out))
+    kd = kernel.data
     for k in range(ksize):
-        out += np.matmul(padded[:, k : k + stop : stride, :], kernel.data[k])
+        out += np.matmul(padded[:, k : k + stop : stride, :], kd[k])
 
     def backward(g):
         gb = g[None] if g.ndim == 2 else g
         gflat = gb.reshape(-1, c_out)
-        gk = np.empty_like(kernel.data)
+        gk = np.empty_like(kd)
         gpad = np.zeros_like(padded)
         for k in range(ksize):
             tap = padded[:, k : k + stop : stride, :]
             gk[k] = tap.reshape(-1, c_in).T @ gflat
-            gpad[:, k : k + stop : stride, :] += np.matmul(gb, kernel.data[k].T)
+            gpad[:, k : k + stop : stride, :] += np.matmul(gb, kd[k].T)
         gx = gpad[:, ksize - 1 :, :]
         return (gx[0] if squeeze else gx, gk)
 
-    return _node(out[0] if squeeze else out, (x, kernel), backward)
+    return _op(out[0] if squeeze else out, (x, kernel), backward)
 
 
 def masked_attention(

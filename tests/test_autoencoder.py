@@ -217,6 +217,46 @@ class TestTrainStage1:
         np.testing.assert_array_equal(m.encode(a).indices, m2.encode(a).indices)
 
 
+# Names and order as checkpoints store them; a list attribute ``xs`` names
+# its items ``x0``, ``x1``, ...
+TINY_PARAM_NAMES = [
+    "encoder.conv0.kernel", "encoder.conv0.bias", "encoder.conv1.kernel", "encoder.conv1.bias",
+    "encoder.block0.ln1.gain", "encoder.block0.ln1.bias",
+    "encoder.block0.attn.wq.weight", "encoder.block0.attn.wq.bias",
+    "encoder.block0.attn.wk.weight", "encoder.block0.attn.wk.bias",
+    "encoder.block0.attn.wv.weight", "encoder.block0.attn.wv.bias",
+    "encoder.block0.attn.wo.weight", "encoder.block0.attn.wo.bias",
+    "encoder.block0.ln2.gain", "encoder.block0.ln2.bias",
+    "encoder.block0.ffn.fc1.weight", "encoder.block0.ffn.fc1.bias",
+    "encoder.block0.ffn.fc2.weight", "encoder.block0.ffn.fc2.bias",
+    "encoder.ln_f.gain", "encoder.ln_f.bias",
+    "fsq.in_proj.weight", "fsq.in_proj.bias", "fsq.out_proj.weight", "fsq.out_proj.bias",
+    "decoder.token_pos",
+    "decoder.block0.ln_self.gain", "decoder.block0.ln_self.bias",
+    "decoder.block0.self_attn.wq.weight", "decoder.block0.self_attn.wq.bias",
+    "decoder.block0.self_attn.wk.weight", "decoder.block0.self_attn.wk.bias",
+    "decoder.block0.self_attn.wv.weight", "decoder.block0.self_attn.wv.bias",
+    "decoder.block0.self_attn.wo.weight", "decoder.block0.self_attn.wo.bias",
+    "decoder.block0.ln_cross.gain", "decoder.block0.ln_cross.bias",
+    "decoder.block0.cross_attn.wq.weight", "decoder.block0.cross_attn.wq.bias",
+    "decoder.block0.cross_attn.wk.weight", "decoder.block0.cross_attn.wk.bias",
+    "decoder.block0.cross_attn.wv.weight", "decoder.block0.cross_attn.wv.bias",
+    "decoder.block0.cross_attn.wo.weight", "decoder.block0.cross_attn.wo.bias",
+    "decoder.block0.ln_ffn.gain", "decoder.block0.ln_ffn.bias",
+    "decoder.block0.ffn.fc1.weight", "decoder.block0.ffn.fc1.bias",
+    "decoder.block0.ffn.fc2.weight", "decoder.block0.ffn.fc2.bias",
+    "decoder.ln_f.gain", "decoder.ln_f.bias", "decoder.head.weight", "decoder.head.bias",
+]
+
+
+def test_param_names_and_order_are_pinned():
+    model = SkillAutoencoder(tiny_config(), np.random.default_rng(0))
+    assert list(model.params()) == TINY_PARAM_NAMES
+    sides = {**model.encoder_side_params(), **model.decoder_side_params()}
+    assert list(sides) == TINY_PARAM_NAMES
+    assert all(sides[k] is v for k, v in model.params().items())
+
+
 def test_shared_prefix_on_generated_suite_with_default_encoder(model):
     ds = tasks.generate_suite(13, task_names=("circle-ccw", "s-curve"), demos_per_task=3)
     by = ds.by_task()

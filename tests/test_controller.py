@@ -5,6 +5,7 @@ import pytest
 
 from qst import tasks
 from qst.autoencoder import train_stage1
+from qst.checkpoint import Checkpoint
 from qst.config import RunConfig
 from qst.controller import (
     ControlConfig,
@@ -88,6 +89,39 @@ class TestActAndPlan:
         other = train_stage1(ds, cfg, seed=8)
         with pytest.raises(ConfigurationError):
             Policy(other, stage2)
+
+
+    @staticmethod
+    def _decoder_finetuned(stage1, stage2, edit):
+        """``stage2`` shipping stage-1's decoder arrays after ``edit``."""
+        params = dict(stage2.params)
+        params.update({k: v for k, v in stage1.params.items() if k.startswith("decoder.")})
+        edit(params)
+        meta = dict(stage2.meta, decoder_finetuned="true")
+        return Checkpoint(params=params, meta=meta, config_text=stage2.config_text)
+
+    def test_decoder_finetuned_arrays_override_stage1(self, pipeline):
+        _, stage1, stage2, _ = pipeline
+        shifted = stage1.params["decoder.head.bias"] + np.float32(0.5)
+        finetuned = self._decoder_finetuned(
+            stage1, stage2, lambda params: params.update({"decoder.head.bias": shifted})
+        )
+        policy = Policy(stage1, finetuned)
+        bias = policy.autoencoder.decoder_side_params()["decoder.head.bias"].data
+        np.testing.assert_array_equal(bias, shifted.astype(np.float64))
+
+    @pytest.mark.parametrize("edit", ["truncated", "extra"])
+    def test_bad_decoder_override_is_configuration_error(self, pipeline, edit):
+        _, stage1, stage2, _ = pipeline
+
+        def corrupt(params):
+            if edit == "truncated":
+                params["decoder.head.weight"] = params["decoder.head.weight"][:-1]
+            else:
+                params["decoder.ln_kv.gain"] = np.ones(8, dtype=np.float32)
+
+        with pytest.raises(ConfigurationError):
+            Policy(stage1, self._decoder_finetuned(stage1, stage2, corrupt))
 
 
 class TestRollout:

@@ -32,6 +32,24 @@ def context_batch(rng, batch=3, history=1, obs_dim=4):
     return task_idx, obs
 
 
+def test_param_names_and_order_are_pinned():
+    block = [
+        "ln1.gain", "ln1.bias",
+        "attn.wq.weight", "attn.wq.bias", "attn.wk.weight", "attn.wk.bias",
+        "attn.wv.weight", "attn.wv.bias", "attn.wo.weight", "attn.wo.bias",
+        "ln2.gain", "ln2.bias",
+        "ffn.fc1.weight", "ffn.fc1.bias", "ffn.fc2.weight", "ffn.fc2.bias",
+    ]
+    expected = (
+        ["prior.token_emb.table", "prior.task_table"]
+        + ["prior.obs.fc1.weight", "prior.obs.fc1.bias", "prior.obs.fc2.weight", "prior.obs.fc2.bias"]
+        + [f"prior.block0.{name}" for name in block]
+        + [f"prior.block1.{name}" for name in block]
+        + ["prior.ln_f.gain", "prior.ln_f.bias", "prior.head.weight", "prior.head.bias"]
+    )
+    assert list(small_prior().params()) == expected
+
+
 class TestObservationEncoder:
     def test_zero_obs_through_zeroed_final_layer_gives_zero_token(self):
         enc = ObservationEncoder(np.random.default_rng(0), 4, 16)

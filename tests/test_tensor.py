@@ -1,5 +1,8 @@
 """Tensor engine: primitive contracts and gradient oracles."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -64,6 +67,26 @@ def test_matmul_shape_errors():
         T.matmul(a, Tensor(np.zeros((4, 2))))
     with pytest.raises(DimensionError):
         T.matmul(a, Tensor(np.zeros(3)))
+
+
+@pytest.mark.parametrize("lead", [(5,), (2, 4)], ids=["2d", "3d"])
+def test_linear_gradients_and_bitwise_match(lead):
+    rng = np.random.default_rng(24)
+    x, w, b = rng.normal(size=lead + (3,)), rng.normal(size=(3, 4)), rng.normal(size=4)
+    out = T.linear(Tensor(x), Tensor(w), Tensor(b))
+    np.testing.assert_array_equal(out.data, x @ w + b)
+    assert out.shape == lead + (4,)
+    assert grad_check(lambda t: T.linear(t, Tensor(w), Tensor(b)).tanh().sum(), x) < 1e-4
+    assert grad_check(lambda t: T.linear(Tensor(x), t, Tensor(b)).tanh().sum(), w) < 1e-4
+    assert grad_check(lambda t: T.linear(Tensor(x), Tensor(w), t).tanh().sum(), b) < 1e-4
+
+
+def test_linear_shape_errors():
+    w, b = Tensor(np.zeros((3, 4))), Tensor(np.zeros(4))
+    with pytest.raises(DimensionError):
+        T.linear(Tensor(np.zeros(3)), w, b)
+    with pytest.raises(DimensionError):
+        T.linear(Tensor(np.zeros((2, 5))), w, b)
 
 
 def test_layer_norm_gradients():
@@ -234,6 +257,25 @@ def test_backward_accumulates_and_doubles_exactly():
     np.testing.assert_array_equal(x.grad, 2.0 * first)
 
 
+def test_graph_keeps_only_arrays_backward_reads():
+    rng = np.random.default_rng(25)
+    x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    w1 = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+    w2 = Tensor(rng.normal(size=(6, 1)), requires_grad=True)
+    zero = Tensor(np.zeros(6))
+    hidden = T.linear(x, w1, zero)  # relu's backward reads its output, not this
+    loss = T.linear(T.relu(hidden), w2, Tensor(np.zeros(1))).sum()
+    dropped = weakref.ref(hidden.data)
+    del hidden
+    gc.collect()
+    assert dropped() is None
+    loss.backward()  # the graph itself is still alive
+    first = (x.grad.copy(), w1.grad.copy(), w2.grad.copy())
+    loss.backward()
+    for param, grad in zip((x, w1, w2), first):
+        np.testing.assert_array_equal(param.grad, 2.0 * grad)
+
+
 def test_narrow_and_concat_roundtrip_gradients():
     rng = np.random.default_rng(16)
     x = rng.normal(size=(3, 6))
@@ -318,6 +360,25 @@ class TestAdam:
         with pytest.raises(NumericalError, match="w"):
             opt.step()
         np.testing.assert_array_equal(params["w"].data, before)
+        assert np.isnan(params["w"].grad).all()
+
+    def test_step_updates_in_place_and_releases_applied_gradients(self):
+        rng = np.random.default_rng(26)
+        params = {
+            "a": Tensor(rng.normal(size=(3, 2)), requires_grad=True),
+            "b": Tensor(rng.normal(size=4), requires_grad=True),
+            "unused": Tensor(rng.normal(size=2), requires_grad=True),
+        }
+        arrays = {name: p.data for name, p in params.items()}
+        before = {name: arr.copy() for name, arr in arrays.items()}
+        opt = Adam(params, lr=0.1)
+        ((params["a"] * 2.0).sum() + (params["b"] ** 2.0).sum()).backward()
+        opt.step()
+        assert all(p.grad is None for p in params.values())
+        for name, p in params.items():
+            assert p.data is arrays[name]
+        assert not np.array_equal(params["a"].data, before["a"])
+        np.testing.assert_array_equal(params["unused"].data, before["unused"])
 
     def test_step_counter_increments(self):
         params = self._params(np.random.default_rng(23))
