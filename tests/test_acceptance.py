@@ -3,9 +3,12 @@
 Criteria 5-7 train the real pipeline on the synthetic suite and reuse the
 session-scoped checkpoints below; their training budgets were fixed by
 pilot runs on a 2-CPU box and are recorded in ACCEPT_CONFIG.  Runtime
-budgets are asserted per criterion.
+budgets are asserted per criterion; the trained criteria are also stopped
+once their budget runs out, since a later check cannot rescue them.
 """
 
+import contextlib
+import signal
 import time
 
 import numpy as np
@@ -39,12 +42,39 @@ DATA_SEED = 0
 TRAIN_SEED = 0
 EVAL_SEEDS = [0, 1]
 EPISODES = 20
+STAGE1_BUDGET_S = 600.0  # criterion 5: stage-1 training + held-out evaluation
+STAGE2_BUDGET_S = 900.0  # criterion 6: stage-2 training + closed-loop evaluation
+FEWSHOT_BUDGET_S = 600.0  # criterion 7: finetuning, from-scratch baseline, evaluation
 
 
 def report(criterion: str, ok: bool, detail: str):
     marker = "PASS" if ok else "FAIL"
     print(f"[{marker}] {criterion}: {detail}")
     assert ok, f"{criterion}: {detail}"
+
+
+class BudgetExceeded(BaseException):
+    """Raised by ``time_limit``; a BaseException so no ``except Exception`` in
+    the code under test (e.g. around ``PointEnv.step``) can swallow it."""
+
+
+@contextlib.contextmanager
+def time_limit(criterion: str, seconds: float):
+    """Stop the block with a FAIL line once ``seconds`` of wall time pass."""
+
+    def expire(signum, frame):
+        detail = f"stopped at its {seconds:.0f}s budget"
+        print(f"[FAIL] {criterion}: {detail}")
+        raise BudgetExceeded(f"{criterion}: {detail}")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    # a zero interval would disarm the timer instead of expiring at once
+    signal.setitimer(signal.ITIMER_REAL, max(seconds, 1e-3))
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # -- criterion 1: FSQ structure ---------------------------------------------------
@@ -254,9 +284,10 @@ def stage1(suite_files):
     full = read_dataset(suite_files / "dataset.qstd")
     train, held = full.split_heldout(ACCEPT_CONFIG.holdout_demos_per_task)
     t0 = time.perf_counter()
-    ckpt = train_stage1(
-        train, ACCEPT_CONFIG, TRAIN_SEED, MetricsWriter(suite_files / "metrics.jsonl")
-    )
+    with time_limit("criterion 5 (stage-1 training)", STAGE1_BUDGET_S):
+        ckpt = train_stage1(
+            train, ACCEPT_CONFIG, TRAIN_SEED, MetricsWriter(suite_files / "metrics.jsonl")
+        )
     _timings["stage1"] = time.perf_counter() - t0
     ckpt.save(suite_files / "stage1.ckpt")
     return ckpt, train, held
@@ -267,9 +298,10 @@ def stage2(suite_files, stage1):
     ckpt1, train, _ = stage1
     full = read_dataset(suite_files / "dataset.qstd")
     t0 = time.perf_counter()
-    ckpt = train_stage2(
-        full, ckpt1, ACCEPT_CONFIG, TRAIN_SEED, MetricsWriter(suite_files / "metrics.jsonl")
-    )
+    with time_limit("criterion 6 (stage-2 + closed loop)", STAGE2_BUDGET_S):
+        ckpt = train_stage2(
+            full, ckpt1, ACCEPT_CONFIG, TRAIN_SEED, MetricsWriter(suite_files / "metrics.jsonl")
+        )
     _timings["stage2"] = time.perf_counter() - t0
     ckpt.save(suite_files / "stage2.ckpt")
     return ckpt
@@ -278,97 +310,100 @@ def stage2(suite_files, stage1):
 def test_criterion_5_stage1_training(stage1):
     ckpt, _, held = stage1
     t0 = time.perf_counter()
-    held_windows, _, _, _ = window_arrays(held, ACCEPT_CONFIG.T)
+    with time_limit("criterion 5 (stage-1 training)", STAGE1_BUDGET_S - _timings["stage1"]):
+        held_windows, _, _, _ = window_arrays(held, ACCEPT_CONFIG.T)
 
-    untrained = SkillAutoencoder(
-        ACCEPT_CONFIG, np.random.default_rng(np.random.SeedSequence((TRAIN_SEED, 11)))
-    )
-    err_untrained = mean_reconstruction_error(untrained, held_windows)
-    model = SkillAutoencoder.from_checkpoint(ckpt)
-    err_trained = mean_reconstruction_error(model, held_windows)
-    ratio = err_trained / err_untrained
+        untrained = SkillAutoencoder(
+            ACCEPT_CONFIG, np.random.default_rng(np.random.SeedSequence((TRAIN_SEED, 11)))
+        )
+        err_untrained = mean_reconstruction_error(untrained, held_windows)
+        model = SkillAutoencoder.from_checkpoint(ckpt)
+        err_trained = mean_reconstruction_error(model, held_windows)
+        ratio = err_trained / err_untrained
 
-    indices = model.encode(held_windows).indices
-    util = fsq.utilization(indices, model.spec)
+        indices = model.encode(held_windows).indices
+        util = fsq.utilization(indices, model.spec)
 
-    # trained-model probe: swapping two tokens must change the decoded plan
-    toks = model.encode(held_windows[0]).indices
-    swapped = toks.copy()
-    swapped[[2, 5]] = swapped[[5, 2]]
-    swap_changes = not np.allclose(model.decode(toks), model.decode(swapped))
+        # trained-model probe: swapping two tokens must change the decoded plan
+        toks = model.encode(held_windows[0]).indices
+        swapped = toks.copy()
+        swapped[[2, 5]] = swapped[[5, 2]]
+        swap_changes = not np.allclose(model.decode(toks), model.decode(swapped))
 
     elapsed = _timings["stage1"] + (time.perf_counter() - t0)
     report(
         "criterion 5 (stage-1 training)",
-        ratio < 0.15 and util > 0.05 and swap_changes and elapsed < 600.0,
+        ratio < 0.15 and util > 0.05 and swap_changes and elapsed < STAGE1_BUDGET_S,
         f"held-out L1 {err_trained:.5f} vs untrained {err_untrained:.5f} "
         f"(ratio {ratio:.3f} < 0.15), utilization {util:.3f} (> 0.05), "
-        f"token-swap changes output={swap_changes}, in {elapsed:.0f}s (< 600s)",
+        f"token-swap changes output={swap_changes}, in {elapsed:.0f}s (< {STAGE1_BUDGET_S:.0f}s)",
     )
 
 
 def test_criterion_6_stage2_closed_loop(suite_files, stage1, stage2):
     t0 = time.perf_counter()
-    policy = Policy(Checkpoint.load(suite_files / "stage1.ckpt"), stage2)
-    control = ControlConfig.from_run_config(ACCEPT_CONFIG)
-    results, summary = evaluate_suite(
-        policy, list(tasks.PRETRAIN_TASKS), EPISODES, EVAL_SEEDS, control
-    )
-    with open(suite_files / "rollouts.jsonl", "a", encoding="ascii") as fh:
-        for r in results:
-            fh.write(r.to_json() + "\n")
+    with time_limit("criterion 6 (stage-2 + closed loop)", STAGE2_BUDGET_S - _timings["stage2"]):
+        policy = Policy(Checkpoint.load(suite_files / "stage1.ckpt"), stage2)
+        control = ControlConfig.from_run_config(ACCEPT_CONFIG)
+        results, summary = evaluate_suite(
+            policy, list(tasks.PRETRAIN_TASKS), EPISODES, EVAL_SEEDS, control
+        )
+        with open(suite_files / "rollouts.jsonl", "a", encoding="ascii") as fh:
+            for r in results:
+                fh.write(r.to_json() + "\n")
     rate = summary["overall"]["mean"]
     elapsed = _timings["stage2"] + (time.perf_counter() - t0)
     per_task = {k: round(v["mean"], 3) for k, v in summary.items() if k != "overall"}
     report(
         "criterion 6 (stage-2 + closed loop)",
-        rate >= 0.90 and elapsed < 900.0,
+        rate >= 0.90 and elapsed < STAGE2_BUDGET_S,
         f"multitask success {rate:.3f} (>= 0.90) over 8 tasks x {EPISODES} episodes x "
-        f"{len(EVAL_SEEDS)} seeds, per-task {per_task}, in {elapsed:.0f}s (< 900s)",
+        f"{len(EVAL_SEEDS)} seeds, per-task {per_task}, in {elapsed:.0f}s (< {STAGE2_BUDGET_S:.0f}s)",
     )
 
 
 def test_criterion_7_few_shot(suite_files, stage1, stage2):
     t0 = time.perf_counter()
-    ckpt1, _, _ = stage1
-    demos = read_dataset(suite_files / "fewshot.qstd")
-    control = ControlConfig.from_run_config(ACCEPT_CONFIG)
+    with time_limit("criterion 7 (few-shot)", FEWSHOT_BUDGET_S):
+        ckpt1, _, _ = stage1
+        demos = read_dataset(suite_files / "fewshot.qstd")
+        control = ControlConfig.from_run_config(ACCEPT_CONFIG)
 
-    ft_decoder = finetune_fewshot(
-        ckpt1, stage2, demos, ACCEPT_CONFIG, TRAIN_SEED, decoder_finetune=True
-    )
-    ft_frozen = finetune_fewshot(
-        ckpt1, stage2, demos, ACCEPT_CONFIG, TRAIN_SEED, decoder_finetune=False
-    )
-
-    scratch_cfg = RunConfig(**{**ACCEPT_CONFIG.__dict__})
-    scratch_cfg.stage1_epochs = ACCEPT_CONFIG.finetune_epochs
-    scratch_cfg.stage2_epochs = ACCEPT_CONFIG.finetune_epochs
-    scratch_cfg.stage1_windows_per_epoch = 0
-    scratch_cfg.stage2_windows_per_epoch = 0
-    scratch1 = train_stage1(demos, scratch_cfg, TRAIN_SEED)
-    scratch2 = train_stage2(demos, scratch1, scratch_cfg, TRAIN_SEED)
-
-    def success_rate(s1, s2):
-        policy = Policy(s1, s2)
-        _, summary = evaluate_suite(
-            policy, ["reverse-s"], EPISODES, EVAL_SEEDS, control
+        ft_decoder = finetune_fewshot(
+            ckpt1, stage2, demos, ACCEPT_CONFIG, TRAIN_SEED, decoder_finetune=True
         )
-        return summary["overall"]["mean"]
+        ft_frozen = finetune_fewshot(
+            ckpt1, stage2, demos, ACCEPT_CONFIG, TRAIN_SEED, decoder_finetune=False
+        )
 
-    rate_decoder = success_rate(ckpt1, ft_decoder)
-    rate_frozen = success_rate(ckpt1, ft_frozen)
-    rate_scratch = success_rate(scratch1, scratch2)
+        scratch_cfg = RunConfig(**{**ACCEPT_CONFIG.__dict__})
+        scratch_cfg.stage1_epochs = ACCEPT_CONFIG.finetune_epochs
+        scratch_cfg.stage2_epochs = ACCEPT_CONFIG.finetune_epochs
+        scratch_cfg.stage1_windows_per_epoch = 0
+        scratch_cfg.stage2_windows_per_epoch = 0
+        scratch1 = train_stage1(demos, scratch_cfg, TRAIN_SEED)
+        scratch2 = train_stage2(demos, scratch1, scratch_cfg, TRAIN_SEED)
+
+        def success_rate(s1, s2):
+            policy = Policy(s1, s2)
+            _, summary = evaluate_suite(
+                policy, ["reverse-s"], EPISODES, EVAL_SEEDS, control
+            )
+            return summary["overall"]["mean"]
+
+        rate_decoder = success_rate(ckpt1, ft_decoder)
+        rate_frozen = success_rate(ckpt1, ft_frozen)
+        rate_scratch = success_rate(scratch1, scratch2)
 
     elapsed = time.perf_counter() - t0
     margin = rate_decoder - rate_scratch
     mode_gap = rate_decoder - rate_frozen
     report(
         "criterion 7 (few-shot)",
-        margin >= 0.20 and mode_gap >= -0.10 and elapsed < 600.0,
+        margin >= 0.20 and mode_gap >= -0.10 and elapsed < FEWSHOT_BUDGET_S,
         f"finetuned {rate_decoder:.3f} vs from-scratch {rate_scratch:.3f} "
         f"(margin {margin:+.3f} >= +0.20); frozen-decoder {rate_frozen:.3f} "
-        f"(decoder-finetuned - frozen = {mode_gap:+.3f} >= -0.10), in {elapsed:.0f}s (< 600s)",
+        f"(decoder-finetuned - frozen = {mode_gap:+.3f} >= -0.10), in {elapsed:.0f}s (< {FEWSHOT_BUDGET_S:.0f}s)",
     )
 
 
