@@ -10,9 +10,9 @@ receding horizon loop on a synthetic 2D multitask benchmark.
 from .autoencoder import SkillAutoencoder, train_stage1
 from .checkpoint import Checkpoint
 from .config import RunConfig
-from .controller import ControlConfig, Policy, RolloutResult, act, evaluate_suite, rollout
+from .controller import ControlConfig, Policy, RolloutResult, evaluate_suite, rollout
 from .data import Episode, TrajectoryDataset, read_dataset, write_dataset
-from .fsq import FsqSpec, SkillCode, bound, code_to_index, index_to_code, quantize, utilization
+from .fsq import FsqSpec, bound, code_to_index, index_to_code, quantize, utilization
 from .gradcheck import grad_check, grad_check_params
 from .optim import Adam
 from .prior import SkillPrior, finetune_fewshot, train_stage2
@@ -32,12 +32,10 @@ __all__ = [
     "RolloutResult",
     "RunConfig",
     "SkillAutoencoder",
-    "SkillCode",
     "SkillPrior",
     "TaskSpec",
     "Tensor",
     "TrajectoryDataset",
-    "act",
     "bound",
     "code_to_index",
     "evaluate_suite",

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import header_int
+from .data import header_int, split_header
 from .errors import (
     BadMagicError,
     DataFormatError,
@@ -75,17 +75,8 @@ class Checkpoint:
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "Checkpoint":
-        split = raw.find(b"\n\n")
-        if split < 0:
-            raise DataFormatError("missing blank line after checkpoint header")
-        try:
-            header = raw[: split + 1].decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise DataFormatError(f"checkpoint header is not ascii: {exc}") from None
-        payload = raw[split + 2 :]
-
-        lines = header.splitlines()
-        if not lines or not lines[0].startswith("QSTCKPT"):
+        lines, payload = split_header(raw, "checkpoint header")
+        if not lines[0].startswith("QSTCKPT"):
             raise BadMagicError(f"expected magic 'QSTCKPT <version>', got {lines[0]!r}")
         if lines[0] != MAGIC:
             raise VersionError(f"unsupported checkpoint version line {lines[0]!r}")

@@ -143,6 +143,19 @@ def header_int(text: str, what: str, signed: bool = False) -> int:
     return int(text)
 
 
+def split_header(raw: bytes, what: str) -> tuple[list[str], bytes]:
+    """Split a file at its first blank line into the lines of its ASCII
+    header and the binary payload after it."""
+    split = raw.find(b"\n\n")
+    if split < 0:
+        raise DataFormatError(f"missing blank line after {what}")
+    try:
+        header = raw[: split + 1].decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{what} is not ascii text: {exc}") from None
+    return header.splitlines(), raw[split + 2 :]
+
+
 def write_dataset(dataset: TrajectoryDataset, path) -> None:
     lines = [f"{MAGIC_PREFIX}{dataset.version}"]
     lines.append(f"seed {dataset.seed}")
@@ -167,16 +180,7 @@ def write_dataset(dataset: TrajectoryDataset, path) -> None:
 def read_dataset(path) -> TrajectoryDataset:
     with open(path, "rb") as fh:
         raw = fh.read()
-    split = raw.find(b"\n\n")
-    if split < 0:
-        raise DataFormatError("missing blank line after header")
-    try:
-        header = raw[: split + 1].decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"header is not ascii text: {exc}") from None
-    payload = raw[split + 2 :]
-
-    lines = header.splitlines()
+    lines, payload = split_header(raw, "header")
     magic = re.fullmatch(rf"{MAGIC_PREFIX}(\d+)", lines[0])
     if magic is None:
         raise BadMagicError(f"expected magic '{MAGIC_PREFIX}<version>', got {lines[0]!r}")

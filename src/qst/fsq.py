@@ -121,38 +121,12 @@ def _check_digits(digits: np.ndarray, spec: FsqSpec) -> None:
         raise RangeError("digit out of range for its level")
 
 
-@dataclass(frozen=True)
-class SkillCode:
-    """One discrete skill token: its digits and flat vocabulary index."""
-
-    digits: tuple[int, ...]
-    index: int
-
-    @classmethod
-    def from_digits(cls, digits, spec: FsqSpec) -> "SkillCode":
-        digits = tuple(int(x) for x in digits)
-        idx = int(code_to_index(np.asarray(digits), spec))
-        return cls(digits, idx)
-
-    @classmethod
-    def from_index(cls, index: int, spec: FsqSpec) -> "SkillCode":
-        digits = tuple(int(x) for x in index_to_code(int(index), spec))
-        return cls(digits, int(index))
-
-
-def utilization(token_stream, spec: FsqSpec) -> float:
-    """Fraction of the implicit codebook observed in a stream of codes.
-
-    Accepts an iterable of SkillCode, of flat indices, or an integer array.
-    """
-    if isinstance(token_stream, np.ndarray):
-        indices = token_stream.reshape(-1)
-    else:
-        items = list(token_stream)
-        if items and isinstance(items[0], SkillCode):
-            indices = np.asarray([c.index for c in items])
-        else:
-            indices = np.asarray(items).reshape(-1)
+def utilization(indices: np.ndarray, spec: FsqSpec) -> float:
+    """Fraction of the implicit codebook observed in an integer array of flat
+    indices."""
+    if not np.issubdtype(indices.dtype, np.integer):
+        raise ArgumentError(f"code indices must be integers, got dtype {indices.dtype}")
+    indices = indices.reshape(-1)
     if indices.size == 0:
         raise ArgumentError("utilization of an empty token stream is undefined")
     if indices.min() < 0 or indices.max() >= spec.codebook_size:

@@ -152,6 +152,13 @@ class TestCheckpoint:
         with pytest.raises(DataFormatError, match=match):
             Checkpoint.from_bytes(raw.replace(old, new, 1))
 
+    @pytest.mark.parametrize(
+        "raw,match", [(b"QSTCKPT 1\n", "blank line"), (b"QSTCKPT 1\n# meta a = \xff\n\n", "ascii")]
+    )
+    def test_header_without_blank_line_or_ascii_rejected(self, raw, match):
+        with pytest.raises(DataFormatError, match=match):
+            Checkpoint.from_bytes(raw)
+
     def test_float32_storage(self):
         ckpt = self._make()
         assert all(arr.dtype == np.dtype("<f4") for arr in ckpt.params.values())

@@ -1,4 +1,6 @@
-"""Controller: plan/act contracts, rollout bookkeeping, batched evaluation."""
+"""Controller: planner contracts, rollout bookkeeping, batched evaluation."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -9,8 +11,8 @@ from qst.checkpoint import Checkpoint
 from qst.config import RunConfig
 from qst.controller import (
     ControlConfig,
+    Plan,
     Policy,
-    act,
     evaluate_suite,
     rollout,
     stack_history,
@@ -44,32 +46,27 @@ def pipeline():
     return cfg, stage1, stage2, policy
 
 
-class TestActAndPlan:
-    def test_chunk_is_prefix_of_decoded_plan(self, pipeline):
-        cfg, stage1, stage2, policy = pipeline
-        env = tasks.PointEnv(tasks.get_task("line-across"))
-        obs = env.reset(np.random.default_rng(0))
-        control = ControlConfig.from_run_config(cfg)
-        plan = policy.plan(obs[None], "line-across", np.random.default_rng(5))
-        chunk = act(
-            stage1, stage2, obs[None], "line-across", control, np.random.default_rng(5)
-        )
-        np.testing.assert_array_equal(chunk, plan.actions[: control.execution_horizon])
-        assert chunk.shape == (control.execution_horizon, 2)
+def control_for(cfg, **overrides) -> ControlConfig:
+    return dataclasses.replace(ControlConfig.from_run_config(cfg), **overrides)
 
+
+def suite_streams(seed: int, task: str, episode: int):
+    """The start state and sampler stream evaluate_suite gives an episode."""
+    spec = tasks.get_task(task)
+    env = tasks.PointEnv(spec)
+    env.reset(np.random.default_rng(np.random.SeedSequence((seed, spec.ordinal, episode, 1))))
+    return env, np.random.default_rng(np.random.SeedSequence((seed, spec.ordinal, episode, 2)))
+
+
+class TestPolicy:
     def test_full_horizon_boundary(self, pipeline):
-        cfg, stage1, stage2, policy = pipeline
-        control = ControlConfig(
-            plan_horizon=cfg.T,
-            execution_horizon=cfg.T,
-            top_k=1,
-            temperature=1.0,
-            max_episode_steps=cfg.T,
-        )
+        cfg, _, _, policy = pipeline
+        control = control_for(cfg, execution_horizon=cfg.T, max_episode_steps=cfg.T)
         env = tasks.PointEnv(tasks.get_task("line-across"))
-        obs = env.reset(np.random.default_rng(0))
-        chunk = act(stage1, stage2, obs[None], "line-across", control, np.random.default_rng(0))
-        assert chunk.shape == (cfg.T, 2)
+        env.reset(np.random.default_rng(0))
+        result = rollout(env, policy, control, np.random.default_rng(0))
+        assert len(result.token_log) == 1
+        assert result.actions.shape == (result.steps, 2)
 
     def test_greedy_sampling_is_deterministic_across_calls(self, pipeline):
         cfg, stage1, stage2, policy = pipeline
@@ -79,9 +76,28 @@ class TestActAndPlan:
         b = policy.prior.sample(idx, obs[None], 1, 1.0, np.random.default_rng(123))
         np.testing.assert_array_equal(a, b)
 
-    def test_execution_horizon_validation(self):
+    def test_control_top_k_is_the_sampler_k(self, pipeline):
+        # the checkpoint samples with top_k=3; ControlConfig(top_k=1) is greedy
+        cfg, _, _, policy = pipeline
+        control = control_for(cfg, top_k=1)
+        logs = []
+        for rng_seed in (1, 2):
+            env = tasks.PointEnv(tasks.get_task("line-across"))
+            env.reset(np.random.default_rng(0))
+            logs.append(rollout(env, policy, control, np.random.default_rng(rng_seed)).token_log)
+        assert logs[0] and logs[0] == logs[1]
+
+    def test_execution_horizon_validation(self, pipeline):
         with pytest.raises(ConfigurationError):
-            ControlConfig(plan_horizon=8, execution_horizon=9)
+            ControlConfig(execution_horizon=0)
+        cfg, _, _, policy = pipeline
+        control = control_for(cfg, execution_horizon=cfg.T + 1)
+        env = tasks.PointEnv(tasks.get_task("line-across"))
+        env.reset(np.random.default_rng(0))
+        with pytest.raises(ConfigurationError, match="plan length"):
+            rollout(env, policy, control, np.random.default_rng(0))
+        with pytest.raises(ConfigurationError, match="plan length"):
+            evaluate_suite(policy, ["line-across"], episodes=1, seeds=[0], cfg=control)
 
     def test_incompatible_checkpoints_rejected(self, pipeline):
         cfg, stage1, stage2, _ = pipeline
@@ -127,18 +143,12 @@ class TestActAndPlan:
 class TestRollout:
     def test_zero_step_budget(self, pipeline):
         cfg, _, _, policy = pipeline
-        control = ControlConfig.from_run_config(cfg)
-        control = ControlConfig(
-            plan_horizon=control.plan_horizon,
-            execution_horizon=control.execution_horizon,
-            top_k=control.top_k,
-            temperature=control.temperature,
-            max_episode_steps=0,
-        )
+        control = control_for(cfg, max_episode_steps=0)
         env = tasks.PointEnv(tasks.get_task("line-across"))
         env.reset(np.random.default_rng(1))
         result = rollout(env, policy, control, np.random.default_rng(2))
         assert not result.success and result.steps == 0 and result.token_log == []
+        assert result.actions.shape == (0, 2)
 
     def test_token_log_length_matches_replans(self, pipeline):
         cfg, _, _, policy = pipeline
@@ -150,26 +160,25 @@ class TestRollout:
         assert len(result.token_log) == expected_plans
         assert all(len(toks) == policy.run_config.n_tokens for toks in result.token_log)
 
-    def test_executed_actions_are_contiguous_plan_prefixes(self, pipeline):
+    def test_executed_actions_are_contiguous_plan_prefixes(self, pipeline, monkeypatch):
         cfg, _, _, policy = pipeline
 
         seen_plans = []
-        original = Policy.plan
+        original = Policy.plan_batch
 
-        def spy(self, obs_history, task_name, rng):
-            plan = original(self, obs_history, task_name, rng)
-            seen_plans.append(plan.actions.copy())
-            return plan
+        def spy(self, *args):
+            plans = original(self, *args)
+            seen_plans.append(plans[0].actions.copy())
+            return plans
 
-        Policy.plan = spy
-        try:
-            control = ControlConfig.from_run_config(cfg)
-            env = tasks.PointEnv(tasks.get_task("line-across"))
-            env.reset(np.random.default_rng(5))
-            result = rollout(env, policy, control, np.random.default_rng(6))
-        finally:
-            Policy.plan = original
+        monkeypatch.setattr(Policy, "plan_batch", spy)
+        control = ControlConfig.from_run_config(cfg)
+        env = tasks.PointEnv(tasks.get_task("line-across"))
+        env.reset(np.random.default_rng(5))
+        result = rollout(env, policy, control, np.random.default_rng(6))
         horizon = control.execution_horizon
+        assert len(seen_plans) == len(result.token_log) > 0
+        assert result.actions.shape == (result.steps, 2)
         for p, plan_actions in enumerate(seen_plans):
             taken = result.actions[p * horizon : (p + 1) * horizon]
             np.testing.assert_array_equal(taken, plan_actions[: len(taken)])
@@ -204,28 +213,43 @@ class TestRollout:
         # drive the env with the template itself through a scripted policy
         template = task.branches[0]
 
-        class Scripted:
-            run_config = policy.run_config
+        class Scripted(Policy):
+            def __init__(self):
+                self.autoencoder, self.prior = policy.autoencoder, policy.prior
+                self.run_config = policy.run_config
 
-            def plan(self, obs_history, task_name, rng):
+            def plan_batch(self, task_idx, obs_histories, rngs, top_k, temperature):
                 t = env.step_count
-                actions = np.zeros((control.plan_horizon, 2))
-                remaining = template[t + 1 : t + 1 + control.plan_horizon] - template[t : t + control.plan_horizon]
+                actions = np.zeros((cfg.T, 2))
+                remaining = template[t + 1 : t + 1 + cfg.T] - template[t : t + cfg.T]
                 actions[: len(remaining)] = remaining
-                from qst.controller import Plan
-
-                return Plan(actions=actions, tokens=np.zeros(8, dtype=int))
+                return [Plan(actions=actions, tokens=np.zeros(8, dtype=int))]
 
         result = rollout(env, Scripted(), control, np.random.default_rng(9))
         assert result.success
         assert result.steps <= template.shape[0] - 1
+
+    def test_matches_one_slot_suite(self, pipeline):
+        cfg, _, _, policy = pipeline
+        control = control_for(cfg, max_episode_steps=24)
+        (suite,), _ = evaluate_suite(policy, ["line-across"], episodes=1, seeds=[3], cfg=control)
+        env, rng = suite_streams(3, "line-across", 0)
+        single = rollout(env, policy, control, rng)
+        assert single.token_log == suite.token_log
+        assert (single.steps, single.success, single.aborted) == (
+            suite.steps,
+            suite.success,
+            suite.aborted,
+        )
+        assert single.final_state == suite.final_state
+        np.testing.assert_array_equal(single.actions, suite.actions)
+        assert suite.actions.shape == (suite.steps, 2) and suite.steps > 0
 
 
 class TestEvaluateSuite:
     def test_counts_and_determinism(self, pipeline):
         cfg, _, _, policy = pipeline
         control = ControlConfig(
-            plan_horizon=cfg.T,
             execution_horizon=8,
             top_k=3,
             temperature=1.0,
@@ -243,6 +267,14 @@ class TestEvaluateSuite:
         assert set(summary) == {"line-across", "circle-ccw", "overall"}
         for row in summary.values():
             assert 0.0 <= row["mean"] <= 1.0 and len(row["per_seed"]) == 2
+
+    def test_results_carry_executed_actions(self, pipeline):
+        cfg, _, _, policy = pipeline
+        control = control_for(cfg, max_episode_steps=16)
+        results, _ = evaluate_suite(policy, ["line-across"], episodes=2, seeds=[0], cfg=control)
+        for r in results:
+            assert r.actions.shape == (r.steps, 2)
+        assert any(r.steps > 0 for r in results)
 
     def test_summary_math(self):
         from qst.controller import RolloutResult, summarize

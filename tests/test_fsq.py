@@ -72,14 +72,19 @@ class TestQuantize:
 
 
 class TestIndexBijection:
+    @staticmethod
+    def _assert_pair(digits, index):
+        assert fsq.code_to_index(np.array(digits), SPEC) == index
+        assert fsq.index_to_code(index, SPEC).tolist() == list(digits)
+
     def test_zero_digits_map_to_index_zero(self):
-        assert fsq.SkillCode.from_digits((0, 0, 0, 0), SPEC).index == 0
+        self._assert_pair((0, 0, 0, 0), 0)
 
     def test_max_digits_map_to_last_index(self):
-        assert fsq.SkillCode.from_digits((7, 4, 4, 4), SPEC).index == 999
+        self._assert_pair((7, 4, 4, 4), 999)
 
     def test_leading_digit_weight(self):
-        assert fsq.SkillCode.from_digits((1, 0, 0, 0), SPEC).index == 125
+        self._assert_pair((1, 0, 0, 0), 125)
 
     def test_roundtrip_over_entire_codebook(self):
         all_indices = np.arange(SPEC.codebook_size)
@@ -108,9 +113,12 @@ class TestUtilization:
         with pytest.raises(ArgumentError):
             fsq.utilization(np.array([], dtype=int), SPEC)
 
-    def test_accepts_skill_codes(self):
-        codes = [fsq.SkillCode.from_index(i, SPEC) for i in (1, 1, 2)]
-        assert fsq.utilization(codes, SPEC) == 0.002
+    def test_counts_distinct_indices_across_rows(self):
+        assert fsq.utilization(np.array([[1, 1], [2, 1]]), SPEC) == 0.002
+
+    def test_non_integer_indices_rejected(self):
+        with pytest.raises(ArgumentError):
+            fsq.utilization(np.array([1.0, 2.0]), SPEC)
 
 
 class TestFsqLayer:

@@ -209,6 +209,15 @@ class TestDatasetIO:
         with pytest.raises(DataFormatError, match="integer"):
             read_dataset(p)
 
+    @pytest.mark.parametrize(
+        "raw,match", [(b"QSTD1\nseed 0\n", "blank line"), (b"QSTD1\nseed \xff\n\n", "ascii")]
+    )
+    def test_header_without_blank_line_or_ascii_rejected(self, tmp_path, raw, match):
+        p = tmp_path / "a.qstd"
+        p.write_bytes(raw)
+        with pytest.raises(DataFormatError, match=match):
+            read_dataset(p)
+
     def test_empty_dataset_roundtrips_but_training_rejects(self, tmp_path):
         from qst.data import window_arrays
 
