@@ -81,7 +81,14 @@ class Embedding:
 
 
 class MultiHeadAttention:
-    """Masked multi-head attention; with ``kv`` given it cross-attends."""
+    """Masked multi-head attention; with ``kv`` given it cross-attends.
+
+    With ``cache`` given (a list the caller owns, empty before the first
+    call) the call appends the new positions' keys and values along the time
+    axis, leaves ``cache == [keys, values]`` of shape (B, heads, t, head_dim),
+    and attends the new queries over all t cached positions.  A cache never
+    lives on the module, so :func:`named_params` cannot pick it up.
+    """
 
     def __init__(self, rng: np.random.Generator, dim: int, heads: int, dropout: float):
         if dim % heads != 0:
@@ -105,11 +112,17 @@ class MultiHeadAttention:
         mask: np.ndarray | None = None,
         rng: np.random.Generator | None = None,
         training: bool = False,
+        cache: list[Tensor] | None = None,
     ) -> Tensor:
         source = x if kv is None else kv
         q = self._split(self.wq(x))
         k = self._split(self.wk(source))
         v = self._split(self.wv(source))
+        if cache is not None:
+            if cache:
+                k = T.concat([cache[0], k], axis=2)
+                v = T.concat([cache[1], v], axis=2)
+            cache[:] = [k, v]
         out = T.masked_attention(q, k, v, mask, self.dropout, rng, training)
         b, _, t, _ = out.shape
         merged = out.transpose(0, 2, 1, 3).reshape(b, t, self.heads * self.head_dim)
@@ -127,7 +140,7 @@ class FeedForward:
 
 
 class TransformerBlock:
-    """Pre-norm self-attention block."""
+    """Pre-norm self-attention block; ``cache`` goes to the attention."""
 
     def __init__(self, rng: np.random.Generator, dim: int, heads: int, dropout: float):
         self.ln1 = LayerNorm(dim)
@@ -135,8 +148,8 @@ class TransformerBlock:
         self.ln2 = LayerNorm(dim)
         self.ffn = FeedForward(rng, dim)
 
-    def __call__(self, x, mask=None, rng=None, training=False):
-        x = x + self.attn(self.ln1(x), mask=mask, rng=rng, training=training)
+    def __call__(self, x, mask=None, rng=None, training=False, cache=None):
+        x = x + self.attn(self.ln1(x), mask=mask, rng=rng, training=training, cache=cache)
         return x + self.ffn(self.ln2(x))
 
 

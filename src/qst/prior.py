@@ -2,9 +2,16 @@
 
 The context is ordered [task embedding, observation token(s), start token,
 skill tokens]; sinusoidal positions are added to the skill-token inputs only.
-Logits are produced for the n positions from the start token onward, so row i
-predicts token i+1 and is causally independent of anything later.  The
-stage-1 encoder is frozen wherever this module consumes it.
+
+:meth:`SkillPrior.logits` is the teacher-forced path that training and
+``nll`` use: one causal pass over the whole context, with logits for the n
+positions from the start token onward, so row i predicts token i+1 and is
+causally independent of anything later.  :meth:`SkillPrior.sample` draws
+from the same distribution with a key/value cache that lives for one call:
+one causal pass over the prefix [task, observation(s), start], then one new
+position per drawn token, attending over the cached keys/values of every
+block; only the newest row goes through ``ln_f`` and the head.  The stage-1
+encoder is frozen wherever this module consumes it.
 """
 
 from __future__ import annotations
@@ -120,6 +127,51 @@ class SkillPrior:
 
     # -- forward ---------------------------------------------------------------
 
+    def _checked_inputs(self, task_idx, obs, tokens=None):
+        """Validate one context batch; return (task ids, observations, tokens)
+        as arrays, with tokens (B, 0) when none are given."""
+        cfg = self.cfg
+        task_idx = np.asarray(task_idx)
+        if task_idx.ndim != 1:
+            raise DimensionError(f"task ids must be (batch,), got {task_idx.shape}")
+        batch = task_idx.shape[0]
+        obs = np.asarray(obs, dtype=np.float64)
+        if obs.shape != (batch, cfg.history, cfg.obs_dim):
+            raise DimensionError(
+                f"observations must be (batch, {cfg.history}, {cfg.obs_dim}), got {obs.shape}"
+            )
+        tokens = np.asarray(np.zeros((batch, 0)) if tokens is None else tokens, dtype=np.int64)
+        if tokens.ndim != 2 or tokens.shape[0] != batch:
+            raise DimensionError(f"skill tokens must be ({batch}, length), got {tokens.shape}")
+        if tokens.shape[1] > cfg.n_tokens - 1:
+            raise ConfigurationError(
+                f"context of {tokens.shape[1]} skill tokens exceeds the configured "
+                f"maximum of {cfg.n_tokens - 1}"
+            )
+        if tokens.size and (tokens.min() < 0 or tokens.max() >= cfg.vocab):
+            raise RangeError(f"skill token id out of range [0, {cfg.vocab})")
+        tasks = len(self.task_names)
+        if task_idx.size and (task_idx.min() < 0 or task_idx.max() >= tasks):
+            raise RangeError(f"task id out of range [0, {tasks})")
+        return task_idx, obs, tokens
+
+    def _context(self, task_idx, obs, tokens) -> Tensor:
+        """Input rows [task, observation(s), start, skill tokens] of checked inputs."""
+        batch = task_idx.shape[0]
+        parts = [
+            T.reshape(T.embedding(self.task_table, task_idx), (batch, 1, self.cfg.dim)),
+            self.obs(Tensor(obs)),
+            self.token_emb(np.full((batch, 1), self.cfg.start_id)),
+        ]
+        if tokens.shape[1]:
+            parts.append(self._token_inputs(tokens, 0))
+        return T.concat(parts, axis=1)
+
+    def _token_inputs(self, tokens, first: int) -> Tensor:
+        """Skill-token input rows: embedding plus the sinusoid of positions
+        ``first``, ``first + 1``, ... among the skill tokens."""
+        return self.token_emb(tokens) + Tensor(self.pos_table[first : first + tokens.shape[1]])
+
     def logits(
         self,
         task_idx: np.ndarray,
@@ -128,55 +180,28 @@ class SkillPrior:
         rng=None,
         training=False,
     ) -> Tensor:
-        """Next-token logits.
+        """Teacher-forced next-token logits.
 
         ``tokens`` holds the already-available skill tokens (B, L) with
         0 <= L <= n-1; the result is (B, L+1, vocab), row i predicting token
         i+1 of the sequence.
         """
         cfg = self.cfg
-        task_idx = np.asarray(task_idx)
-        obs = np.asarray(obs, dtype=np.float64)
-        tokens = np.asarray(tokens, dtype=np.int64)
-        batch = task_idx.shape[0]
-        if obs.shape != (batch, cfg.history, cfg.obs_dim):
-            raise DimensionError(
-                f"observations must be (batch, {cfg.history}, {cfg.obs_dim}), got {obs.shape}"
-            )
-        n_given = tokens.shape[1] if tokens.ndim == 2 else 0
-        if n_given > cfg.n_tokens - 1:
-            raise ConfigurationError(
-                f"context of {n_given} skill tokens exceeds the configured "
-                f"maximum of {cfg.n_tokens - 1}"
-            )
-        if tokens.size and (tokens.min() < 0 or tokens.max() >= cfg.vocab):
-            raise RangeError(f"skill token id out of range [0, {cfg.vocab})")
-        tasks = len(self.task_names)
-        if task_idx.size and (task_idx.min() < 0 or task_idx.max() >= tasks):
-            raise RangeError(f"task id out of range [0, {tasks})")
-
-        parts = [
-            T.reshape(T.embedding(self.task_table, task_idx), (batch, 1, cfg.dim)),
-            self.obs(Tensor(obs)),
-            self.token_emb(np.full((batch, 1), cfg.start_id)),
-        ]
-        if n_given:
-            parts.append(self.token_emb(tokens) + Tensor(self.pos_table[:n_given]))
-        x = T.concat(parts, axis=1)
-        x = T.dropout(x, cfg.embd_dropout, rng, training)
+        task_idx, obs, tokens = self._checked_inputs(task_idx, obs, tokens)
+        x = T.dropout(self._context(task_idx, obs, tokens), cfg.embd_dropout, rng, training)
         mask = causal_mask(x.shape[1])
         for block in self.blocks:
             x = block(x, mask=mask, rng=rng, training=training)
         x = self.ln_f(x)
-        x = T.narrow(x, 1, 1 + cfg.history, n_given + 1)
+        x = T.narrow(x, 1, 1 + cfg.history, tokens.shape[1] + 1)
         return self.head(x)
 
     def nll(self, task_idx, obs, targets, rng=None, training=False) -> Tensor:
         """Mean negative log-likelihood of full target token sequences (B, n)."""
         targets = np.asarray(targets, dtype=np.int64)
-        if targets.shape[1] != self.cfg.n_tokens:
+        if targets.ndim != 2 or targets.shape[1] != self.cfg.n_tokens:
             raise DimensionError(
-                f"targets must have {self.cfg.n_tokens} tokens, got {targets.shape[1]}"
+                f"targets must be (batch, {self.cfg.n_tokens}), got {targets.shape}"
             )
         if targets.min() < 0 or targets.max() >= self.cfg.vocab:
             raise RangeError(f"target token id out of range [0, {self.cfg.vocab})")
@@ -196,25 +221,33 @@ class SkillPrior:
         At each of the n steps the k largest logits survive, are divided by
         the temperature, renormalized with a softmax, and sampled.  ``rngs``
         is one generator shared by the batch or a list with one per row.
+        The prefix goes through the blocks once; each later step feeds only
+        the token drawn last, against every block's key/value cache.
         """
         cfg = self.cfg
         if not 1 <= k <= cfg.vocab:
             raise ConfigurationError(f"k must lie in [1, {cfg.vocab}]")
         if temperature <= 0:
             raise ConfigurationError("temperature must be positive")
-        batch = np.asarray(task_idx).shape[0]
+        task_idx, obs, no_tokens = self._checked_inputs(task_idx, obs)
+        batch = task_idx.shape[0]
         row_rngs = rngs if isinstance(rngs, (list, tuple)) else [rngs] * batch
         if len(row_rngs) != batch:
             raise DimensionError("need one generator per batch row")
 
-        tokens = np.zeros((batch, 0), dtype=np.int64)
+        tokens = np.empty((batch, cfg.n_tokens), dtype=np.int64)
+        caches = [[] for _ in self.blocks]
         with T.no_grad():
-            for _ in range(cfg.n_tokens):
-                logits = self.logits(task_idx, obs, tokens).data[:, -1, :]
-                picks = np.empty((batch, 1), dtype=np.int64)
+            x = self._context(task_idx, obs, no_tokens)
+            mask = causal_mask(x.shape[1])
+            for i in range(cfg.n_tokens):
+                if i:
+                    x, mask = self._token_inputs(tokens[:, i - 1 : i], i - 1), None
+                for block, cache in zip(self.blocks, caches):
+                    x = block(x, mask=mask, cache=cache)
+                logits = self.head(self.ln_f(T.narrow(x, 1, x.shape[1] - 1, 1))).data[:, 0]
                 for row in range(batch):
-                    picks[row, 0] = _sample_top_k(logits[row], k, temperature, row_rngs[row])
-                tokens = np.concatenate([tokens, picks], axis=1)
+                    tokens[row, i] = _sample_top_k(logits[row], k, temperature, row_rngs[row])
         return tokens
 
     # -- persistence -------------------------------------------------------------

@@ -1,10 +1,11 @@
-"""Building blocks: multi-head attention against an explicit composition."""
+"""Building blocks: multi-head attention against an explicit composition,
+and a key/value-cached transformer block against a full causal pass."""
 
 import numpy as np
 import pytest
 
 from qst import tensor as T
-from qst.nn import MultiHeadAttention, causal_mask
+from qst.nn import MultiHeadAttention, TransformerBlock, causal_mask, named_params
 from qst.tensor import Tensor
 
 
@@ -40,3 +41,21 @@ def test_multi_head_attention_matches_reference_bitwise(cross, training):
 
     evaluated = attn(x, kv=kv, mask=mask).data
     assert np.array_equal(out.data, evaluated) != training  # dropout acts only in training
+
+
+def test_cached_transformer_block_matches_full_causal_pass():
+    rng = np.random.default_rng(1)
+    block = TransformerBlock(rng, dim=12, heads=3, dropout=0.25)
+    batch, prefill, total = 2, 3, 6
+    x = Tensor(rng.normal(size=(batch, total, 12)))
+    full = block(x, mask=causal_mask(total)).data
+
+    cache = []
+    parts = [block(T.narrow(x, 1, 0, prefill), mask=causal_mask(prefill), cache=cache).data]
+    assert [c.shape for c in cache] == [(batch, 3, prefill, 4)] * 2
+    for t in range(prefill, total):
+        parts.append(block(T.narrow(x, 1, t, 1), cache=cache).data)
+        assert [c.shape for c in cache] == [(batch, 3, t + 1, 4)] * 2
+    np.testing.assert_allclose(np.concatenate(parts, axis=1), full, rtol=0, atol=1e-12)
+    fresh = TransformerBlock(np.random.default_rng(1), dim=12, heads=3, dropout=0.25)
+    assert list(named_params(block)) == list(named_params(fresh))  # the cache stayed the caller's

@@ -6,8 +6,9 @@ import pytest
 from qst import tasks
 from qst.autoencoder import SkillAutoencoder, train_stage1
 from qst.config import RunConfig
-from qst.errors import ArgumentError, ConfigurationError, RangeError
+from qst.errors import ArgumentError, ConfigurationError, DimensionError, RangeError
 from qst.gradcheck import grad_check_params
+from qst.nn import TransformerBlock
 from qst.prior import (
     ObservationEncoder,
     PriorConfig,
@@ -167,6 +168,14 @@ class TestNll:
         with pytest.raises(RangeError):
             prior.nll(task_idx, obs, targets)
 
+    def test_targets_must_be_batch_by_n(self):
+        prior = small_prior()
+        rng = np.random.default_rng(17)
+        task_idx, obs = context_batch(rng)
+        for bad in (np.zeros(8, dtype=int), np.zeros((3, 7), dtype=int)):
+            with pytest.raises(DimensionError, match="targets"):
+                prior.nll(task_idx, obs, bad)
+
     def test_gradcheck_on_tiny_prior(self):
         prior = small_prior(vocab=15, n_tokens=4, dim=8, layers=1, heads=2, obs_dim=3)
         rng = np.random.default_rng(11)
@@ -236,6 +245,76 @@ class TestSampling:
             out = prior.sample(batch_task, batch_obs, 2, 1.0, sampler_rng)
             hits += int((out[:, 0] == top2[1]).sum())
         assert abs(hits / draws - expected) < 0.02
+
+
+class TestCachedSampling:
+    """``sample`` runs a key/value cache; ``logits`` is the teacher-forced pass."""
+
+    @staticmethod
+    def _setup(history):
+        prior = small_prior(history=history)
+        rng = np.random.default_rng(20 + history)
+        task_idx = np.array([0, 1, 1, 0])
+        obs = rng.normal(size=(4, history, 4))
+        return prior, task_idx, obs
+
+    @pytest.mark.parametrize("history", [1, 2])
+    def test_greedy_tokens_are_teacher_forced_argmax(self, history):
+        prior, task_idx, obs = self._setup(history)
+        tokens = prior.sample(task_idx, obs, 1, 1.0, np.random.default_rng(0))
+        logits = prior.logits(task_idx, obs, tokens[:, :-1]).data
+        np.testing.assert_array_equal(tokens, logits.argmax(axis=-1))
+
+    @pytest.mark.parametrize("history", [1, 2])
+    def test_top_k_tokens_lie_in_teacher_forced_top_k(self, history):
+        prior, task_idx, obs = self._setup(history)
+        tokens = prior.sample(task_idx, obs, 5, 1.0, np.random.default_rng(1))
+        logits = prior.logits(task_idx, obs, tokens[:, :-1]).data
+        kth = np.partition(logits, -5, axis=-1)[..., -5]
+        picked = np.take_along_axis(logits, tokens[..., None], axis=-1)[..., 0]
+        assert (picked >= kth - 1e-9).all()
+
+    @pytest.mark.parametrize("history", [1, 2])
+    def test_one_new_position_per_block_call_after_the_prefix(self, history, monkeypatch):
+        prior, task_idx, obs = self._setup(history)
+        seen = []
+        original = TransformerBlock.__call__
+
+        def spy(block, x, *args, **kwargs):
+            seen.append((id(block), x.shape[1]))
+            return original(block, x, *args, **kwargs)
+
+        monkeypatch.setattr(TransformerBlock, "__call__", spy)
+        prior.sample(task_idx, obs, 3, 1.0, np.random.default_rng(2))
+        layers, n = prior.cfg.layers, prior.cfg.n_tokens
+        assert len(seen) == n * layers
+        assert [b for b, _ in seen] == [id(b) for b in prior.blocks] * n
+        assert [t for _, t in seen] == [2 + history] * layers + [1] * (n - 1) * layers
+
+    def test_sample_checks_observations_and_task_ids(self):
+        prior, task_idx, obs = self._setup(1)
+        rng = np.random.default_rng(3)
+        with pytest.raises(DimensionError, match="observations"):
+            prior.sample(task_idx, obs[:, :, :3], 1, 1.0, rng)
+        with pytest.raises(RangeError, match="task id"):
+            prior.sample(np.array([0, 1, 2, 0]), obs, 1, 1.0, rng)
+        with pytest.raises(DimensionError, match="task ids"):
+            prior.sample(task_idx[:, None], obs, 1, 1.0, rng)
+
+    @pytest.mark.parametrize(
+        "tokens, task_axes, match",
+        [
+            (np.array([3, 4]), 1, "skill tokens"),  # 1-D, not "no tokens"
+            (np.zeros((3, 2), dtype=int), 1, "skill tokens"),  # batch 3 vs 4
+            (np.zeros((4, 0), dtype=int), 2, "task ids"),
+        ],
+        ids=["1-D-tokens", "token-batch-mismatch", "2-D-task-ids"],
+    )
+    def test_logits_rejects_misshapen_inputs(self, tokens, task_axes, match):
+        prior, task_idx, obs = self._setup(1)
+        task_idx = task_idx.reshape(task_idx.shape + (1,) * (task_axes - 1))
+        with pytest.raises(DimensionError, match=match):
+            prior.logits(task_idx, obs, tokens)
 
 
 @pytest.fixture(scope="module")
