@@ -32,7 +32,7 @@ from .nn import (
     load_params,
     named_params,
 )
-from .optim import Adam
+from .optim import train_epochs
 from .tensor import Tensor
 
 ACTION_HEAD_STD = 0.003  # keeps untrained outputs near action scale
@@ -85,15 +85,9 @@ class SkillDecoder:
         self.head = Linear(rng, dim, cfg.action_dim, std=ACTION_HEAD_STD)
         self._mask = causal_mask(cfg.T) if cfg.decoder_causal else None
 
-    def __call__(
-        self,
-        token_features: Tensor,
-        rng=None,
-        training=False,
-        query_table: np.ndarray | None = None,
-    ) -> Tensor:
+    def __call__(self, token_features: Tensor, rng=None, training=False) -> Tensor:
         batch = token_features.shape[0]
-        table = self.query_table if query_table is None else query_table
+        table = self.query_table
         queries = Tensor(np.broadcast_to(table, (batch,) + table.shape).copy())
         # no normalization here: scale distinctions between codes carry
         # information the cross-attention values must keep
@@ -190,10 +184,8 @@ class SkillAutoencoder:
         load_params(model.params(), ckpt.params_f64())
         return model
 
-    def to_checkpoint(self, meta: dict[str, str] | None = None) -> Checkpoint:
-        base = {"stage": "stage1"}
-        base.update(meta or {})
-        return Checkpoint.from_tensors(self.params(), base, self.cfg.snapshot())
+    def to_checkpoint(self) -> Checkpoint:
+        return Checkpoint.from_tensors(self.params(), {"stage": "stage1"}, self.cfg.snapshot())
 
 
 def train_stage1(
@@ -212,33 +204,29 @@ def train_stage1(
     windows, _, _, _ = window_arrays(dataset, cfg.T)
     model = SkillAutoencoder(cfg, np.random.default_rng(np.random.SeedSequence((seed, 11))))
     run_rng = np.random.default_rng(np.random.SeedSequence((seed, 12)))
-    opt = Adam(model.params(), lr=cfg.learning_rate)
+    seen: set[int] = set()  # codes emitted since the last metrics row
 
-    count = windows.shape[0]
-    for epoch in range(cfg.stage1_epochs):
-        order = run_rng.permutation(count)
-        if cfg.stage1_windows_per_epoch > 0:
-            order = order[: cfg.stage1_windows_per_epoch]
-        seen: set[int] = set()
-        loss_sum = 0.0
-        loss_n = 0
-        for lo in range(0, len(order), cfg.batch_size):
-            idx = order[lo : lo + cfg.batch_size]
-            opt.zero_grad()
-            loss, indices = model.recon_loss(windows[idx], rng=run_rng, training=True)
-            loss.backward()
-            opt.step()
-            loss_sum += loss.item() * len(idx)
-            loss_n += len(idx)
-            seen.update(np.unique(indices).tolist())
-        if metrics is not None:
-            metrics.log(
-                phase="stage1",
-                epoch=epoch,
-                loss=loss_sum / max(loss_n, 1),
-                codebook_utilization=len(seen) / model.spec.codebook_size,
-                seed=seed,
-            )
+    def batch_loss(idx):
+        loss, indices = model.recon_loss(windows[idx], rng=run_rng, training=True)
+        seen.update(np.unique(indices).tolist())
+        return loss
+
+    def epoch_row(epoch, loss):
+        used = len(seen) / model.spec.codebook_size
+        seen.clear()
+        return dict(phase="stage1", epoch=epoch, loss=loss, codebook_utilization=used, seed=seed)
+
+    train_epochs(
+        model.params(),
+        cfg,
+        cfg.stage1_epochs,
+        run_rng,
+        len(windows),
+        batch_loss,
+        metrics,
+        epoch_row,
+        cap=cfg.stage1_windows_per_epoch,
+    )
     return model.to_checkpoint()
 
 

@@ -17,15 +17,26 @@ import sys
 import numpy as np
 
 from . import tasks
+from . import tensor as T
 from .autoencoder import SkillAutoencoder, train_stage1
 from .checkpoint import Checkpoint
 from .config import RunConfig
 from .controller import ControlConfig, Policy, evaluate_suite
 from .data import read_dataset, window_arrays, write_dataset
-from .errors import QstError
-from .fsq import utilization
+from .errors import ConfigurationError, QstError
+from .fsq import digits_to_grid, utilization
+from .gradcheck import grad_check, grad_check_params
 from .metrics import MetricsWriter
-from .prior import check_structural_match, encode_targets, finetune_fewshot, train_stage2
+from .nn import LayerNorm
+from .prior import (
+    PriorConfig,
+    SkillPrior,
+    check_structural_match,
+    encode_targets,
+    finetune_fewshot,
+    train_stage2,
+)
+from .tensor import Tensor
 
 GRAD_CHECK_TOLERANCE = 1e-4
 
@@ -62,7 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stage1", help="stage-1 checkpoint (default <out>/stage1.ckpt)")
     p.add_argument("--stage2", help="stage-2 checkpoint (default <out>/stage2.ckpt)")
     p.add_argument("--decoder-finetune", choices=("on", "off"), default="on")
-    p.add_argument("--loss-scale", type=float)
 
     p = sub.add_parser("eval", help="closed-loop multitask evaluation")
     common(p)
@@ -166,7 +176,6 @@ def _dispatch(args, cfg: RunConfig) -> int:
             cfg,
             args.seed,
             decoder_finetune=args.decoder_finetune == "on",
-            loss_scale=args.loss_scale,
             metrics=metrics,
         )
         out = os.path.join(args.out, "finetuned.ckpt")
@@ -252,8 +261,6 @@ def export_embeddings(stage1_ckpt: Checkpoint, dataset, path) -> int:
     embedding vector at that timestep, ready for offline t-SNE/plotting."""
     model = SkillAutoencoder.from_checkpoint(stage1_ckpt)
     if dataset.act_dim != model.cfg.action_dim:
-        from .errors import ConfigurationError
-
         raise ConfigurationError(
             f"dataset action dim {dataset.act_dim} != checkpoint {model.cfg.action_dim}"
         )
@@ -262,7 +269,6 @@ def export_embeddings(stage1_ckpt: Checkpoint, dataset, path) -> int:
     header = ["task", "episode", "timestep"] + [
         f"z{i}_{j}" for i in range(n) for j in range(d)
     ]
-    rows = 0
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -270,8 +276,6 @@ def export_embeddings(stage1_ckpt: Checkpoint, dataset, path) -> int:
         for lo in range(0, windows.shape[0], batch):
             chunk = windows[lo : lo + batch]
             result = model.encode(chunk)
-            from .fsq import digits_to_grid
-
             grids = digits_to_grid(result.digits, model.spec).reshape(len(chunk), n * d)
             for row in range(len(chunk)):
                 episode, timestep = starts[lo + row]
@@ -280,18 +284,12 @@ def export_embeddings(stage1_ckpt: Checkpoint, dataset, path) -> int:
                     [task, int(episode), int(timestep)]
                     + [f"{v:.1f}" for v in grids[row]]
                 )
-                rows += 1
-    return rows
+    return windows.shape[0]
 
 
 def run_grad_check_suite(seed: int) -> float:
     """Finite-difference oracle over every differentiable primitive plus the
     composed stage-1 and stage-2 losses at a tiny configuration."""
-    from . import tensor as T
-    from .gradcheck import grad_check, grad_check_params
-    from .prior import PriorConfig, SkillPrior
-    from .tensor import Tensor
-
     rng = np.random.default_rng(seed)
     worst = 0.0
 
@@ -317,8 +315,6 @@ def run_grad_check_suite(seed: int) -> float:
     check("relu", grad_check(lambda t: t.relu().sum(), relu_point))
     abs_point = np.where(np.abs(rng.normal(size=8)) < 0.2, 0.7, rng.normal(size=8))
     check("abs", grad_check(lambda t: t.abs().sum(), abs_point))
-
-    from .nn import Embedding, LayerNorm
 
     ln = LayerNorm(6)
     check(

@@ -160,7 +160,7 @@ class RunConfig:
 
     @classmethod
     def documented_defaults(cls) -> str:
-        """Defaults with doc comments, for ``qst config --print``/README."""
+        """Defaults with doc comments, as a config file that parses back to ``RunConfig()``."""
         default = cls()
         lines = []
         for f in fields(cls):

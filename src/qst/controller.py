@@ -22,7 +22,7 @@ from .checkpoint import Checkpoint
 from .config import RunConfig
 from .errors import ConfigurationError
 from .nn import load_params
-from .prior import SkillPrior
+from .prior import SkillPrior, check_stage1_link
 from .tasks import PointEnv, get_task
 
 
@@ -84,11 +84,7 @@ class Policy:
     """Frozen checkpoint pair bound into a callable planner."""
 
     def __init__(self, stage1_ckpt: Checkpoint, stage2_ckpt: Checkpoint):
-        linked = stage2_ckpt.meta.get("stage1_sha256")
-        if linked is not None and linked != stage1_ckpt.content_sha256():
-            raise ConfigurationError(
-                "stage-2 checkpoint was trained against a different stage-1 checkpoint"
-            )
+        check_stage1_link(stage1_ckpt, stage2_ckpt)
         self.autoencoder = SkillAutoencoder.from_checkpoint(stage1_ckpt)
         self.prior, self.run_config = SkillPrior.from_checkpoint(stage2_ckpt)
         if tuple(self.autoencoder.cfg.fsq_levels) != tuple(self.run_config.fsq_levels):

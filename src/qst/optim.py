@@ -1,10 +1,15 @@
-"""Adam optimizer over named parameter tensors."""
+"""Adam optimizer over named parameter tensors, and the epoch loop that
+stage I, stage II and few-shot finetuning all train with."""
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
+from .config import RunConfig
 from .errors import NumericalError
+from .metrics import MetricsWriter
 from .tensor import Tensor
 
 
@@ -64,3 +69,39 @@ class Adam:
             update *= self.lr / correction1
             p.data -= update
             p.grad = None
+
+
+def train_epochs(
+    params: dict[str, Tensor],
+    cfg: RunConfig,
+    epochs: int,
+    rng: np.random.Generator,
+    count: int,
+    batch_loss: Callable[[np.ndarray], Tensor],
+    metrics: MetricsWriter | None,
+    epoch_row: Callable[[int, float], dict],
+    cap: int = 0,
+) -> None:
+    """Train ``params`` with Adam over ``epochs`` shuffled passes of ``count`` examples.
+
+    Each epoch draws one permutation of ``range(count)`` from ``rng``, keeps
+    its first ``cap`` entries when ``cap > 0``, and takes one step per batch of
+    ``cfg.batch_size`` indices on the loss tensor ``batch_loss(indices)``.
+    With a writer, ``epoch_row(epoch, loss)`` then builds the epoch's metrics
+    row from its batch-size-weighted mean loss.
+    """
+    opt = Adam(params, lr=cfg.learning_rate)
+    for epoch in range(epochs):
+        order = rng.permutation(count)
+        if cap > 0:
+            order = order[:cap]
+        loss_sum = 0.0
+        for lo in range(0, len(order), cfg.batch_size):
+            idx = order[lo : lo + cfg.batch_size]
+            opt.zero_grad()
+            loss = batch_loss(idx)
+            loss.backward()
+            opt.step()
+            loss_sum += loss.item() * len(idx)
+        if metrics is not None:
+            metrics.log(**epoch_row(epoch, loss_sum / max(len(order), 1)))

@@ -38,7 +38,7 @@ from .nn import (
     named_params,
     set_requires_grad,
 )
-from .optim import Adam
+from .optim import train_epochs
 from .tensor import Tensor
 
 
@@ -252,10 +252,14 @@ class SkillPrior:
 
     # -- persistence -------------------------------------------------------------
 
-    def to_checkpoint(self, cfg: RunConfig, meta: dict[str, str]) -> Checkpoint:
+    def to_checkpoint(
+        self, cfg: RunConfig, meta: dict[str, str], decoder: dict[str, Tensor] | None = None
+    ) -> Checkpoint:
+        """The prior's parameters, then ``decoder`` (finetuned ``decoder.*``
+        tensors, if any), under stage-2 metadata followed by ``meta``."""
         base = {"stage": "stage2", "tasks": ",".join(self.task_names)}
         base.update(meta)
-        return Checkpoint.from_tensors(self.params(), base, cfg.snapshot())
+        return Checkpoint.from_tensors(self.params() | (decoder or {}), base, cfg.snapshot())
 
     @classmethod
     def from_checkpoint(cls, ckpt: Checkpoint) -> tuple["SkillPrior", RunConfig]:
@@ -290,6 +294,17 @@ def check_structural_match(cfg: RunConfig, ckpt: Checkpoint, what: str) -> None:
     bad = {k: (ours[k], theirs[k]) for k in ours if ours[k] != theirs[k]}
     if bad:
         raise ConfigurationError(f"config does not match {what} checkpoint: {bad}")
+
+
+def check_stage1_link(stage1_ckpt: Checkpoint, stage2_ckpt: Checkpoint) -> str:
+    """Hash the stage-1 checkpoint; raise if the stage-2 checkpoint records
+    another stage-1 hash.  Returns the hash."""
+    sha256 = stage1_ckpt.content_sha256()
+    if stage2_ckpt.meta.get("stage1_sha256") not in (None, sha256):
+        raise ConfigurationError(
+            "stage-2 checkpoint was trained against a different stage-1 checkpoint"
+        )
+    return sha256
 
 
 def encode_targets(
@@ -327,24 +342,17 @@ def train_stage2(
         np.random.default_rng(np.random.SeedSequence((seed, 21))),
     )
     run_rng = np.random.default_rng(np.random.SeedSequence((seed, 22)))
-    opt = Adam(prior.params(), lr=cfg.learning_rate)
-
-    count = windows.shape[0]
-    for epoch in range(cfg.stage2_epochs):
-        order = run_rng.permutation(count)
-        if cfg.stage2_windows_per_epoch > 0:
-            order = order[: cfg.stage2_windows_per_epoch]
-        loss_sum, loss_n = 0.0, 0
-        for lo in range(0, len(order), cfg.batch_size):
-            idx = order[lo : lo + cfg.batch_size]
-            opt.zero_grad()
-            loss = prior.nll(task_ids[idx], obs[idx], targets[idx], rng=run_rng, training=True)
-            loss.backward()
-            opt.step()
-            loss_sum += loss.item() * len(idx)
-            loss_n += len(idx)
-        if metrics is not None:
-            metrics.log(phase="stage2", epoch=epoch, loss=loss_sum / max(loss_n, 1), seed=seed)
+    train_epochs(
+        prior.params(),
+        cfg,
+        cfg.stage2_epochs,
+        run_rng,
+        len(windows),
+        lambda idx: prior.nll(task_ids[idx], obs[idx], targets[idx], rng=run_rng, training=True),
+        metrics,
+        lambda epoch, loss: dict(phase="stage2", epoch=epoch, loss=loss, seed=seed),
+        cap=cfg.stage2_windows_per_epoch,
+    )
     return prior.to_checkpoint(cfg, {"stage1_sha256": stage1_ckpt.content_sha256()})
 
 
@@ -355,76 +363,54 @@ def finetune_fewshot(
     cfg: RunConfig,
     seed: int,
     decoder_finetune: bool = True,
-    loss_scale: float | None = None,
     metrics: MetricsWriter | None = None,
 ) -> Checkpoint:
     """Adapt the prior (and optionally the decoder) to a handful of demos.
 
     The encoder and quantizer projections stay frozen.  With decoder
     finetuning on, each batch also decodes skill tokens sampled from the
-    current prior and adds ``loss_scale`` times their reconstruction error;
-    the sampled tokens are integers, so no gradient can reach the prior
-    through them.
+    current prior and adds ``cfg.decoder_loss_scale`` times their
+    reconstruction error; the sampled tokens are integers, so no gradient can
+    reach the prior through them.
     """
     if len(demos) == 0:
         raise ArgumentError("cannot finetune on an empty dataset")
-    if loss_scale is None:
-        loss_scale = cfg.decoder_loss_scale
     check_structural_match(cfg, stage1_ckpt, "stage-1")
-    if stage2_ckpt.meta.get("stage1_sha256") not in (None, stage1_ckpt.content_sha256()):
-        raise ConfigurationError(
-            "stage-2 checkpoint was trained against a different stage-1 checkpoint"
-        )
+    stage1_sha256 = check_stage1_link(stage1_ckpt, stage2_ckpt)
     autoencoder = SkillAutoencoder.from_checkpoint(stage1_ckpt)
     set_requires_grad(autoencoder.encoder_side_params(), False)
     set_requires_grad(autoencoder.decoder_side_params(), decoder_finetune)
+    decoder = autoencoder.decoder_side_params() if decoder_finetune else {}
 
     prior, _ = SkillPrior.from_checkpoint(stage2_ckpt)
     row_rng = np.random.default_rng(np.random.SeedSequence((seed, 31)))
-    for name in demos.task_names():
-        prior.ensure_task(name, row_rng)
+    task_rows = np.asarray([prior.ensure_task(name, row_rng) for name in demos.task_names()])
 
     windows, obs, local_ids, _ = window_arrays(demos, cfg.T, cfg.observation_history)
-    local_names = demos.task_names()
-    task_ids = np.asarray([prior.task_index(local_names[i]) for i in local_ids])
+    task_ids = task_rows[local_ids]
     targets = encode_targets(autoencoder, windows)
-
-    trainable = prior.params()
-    if decoder_finetune:
-        trainable.update(autoencoder.decoder_side_params())
     run_rng = np.random.default_rng(np.random.SeedSequence((seed, 32)))
-    opt = Adam(trainable, lr=cfg.learning_rate)
 
-    count = windows.shape[0]
-    for epoch in range(cfg.finetune_epochs):
-        order = run_rng.permutation(count)
-        loss_sum, loss_n = 0.0, 0
-        for lo in range(0, len(order), cfg.batch_size):
-            idx = order[lo : lo + cfg.batch_size]
-            opt.zero_grad()
-            loss = prior.nll(task_ids[idx], obs[idx], targets[idx], rng=run_rng, training=True)
-            if decoder_finetune:
-                sampled = prior.sample(
-                    task_ids[idx], obs[idx], cfg.top_k, cfg.temperature, run_rng
-                )
-                digits = index_to_code(sampled, autoencoder.spec)
-                feats = autoencoder.fsq.codes_to_features(digits)
-                pred = autoencoder.decoder(feats, rng=run_rng, training=True)
-                loss = loss + loss_scale * T.l1_loss(pred, Tensor(windows[idx]))
-            loss.backward()
-            opt.step()
-            loss_sum += loss.item() * len(idx)
-            loss_n += len(idx)
-        if metrics is not None:
-            metrics.log(phase="finetune", epoch=epoch, loss=loss_sum / max(loss_n, 1), seed=seed)
+    def batch_loss(idx):
+        loss = prior.nll(task_ids[idx], obs[idx], targets[idx], rng=run_rng, training=True)
+        if not decoder_finetune:
+            return loss
+        sampled = prior.sample(task_ids[idx], obs[idx], cfg.top_k, cfg.temperature, run_rng)
+        feats = autoencoder.fsq.codes_to_features(index_to_code(sampled, autoencoder.spec))
+        pred = autoencoder.decoder(feats, rng=run_rng, training=True)
+        return loss + cfg.decoder_loss_scale * T.l1_loss(pred, Tensor(windows[idx]))
 
-    tensors = prior.params()
-    meta = {
-        "stage1_sha256": stage2_ckpt.meta.get("stage1_sha256", stage1_ckpt.content_sha256()),
-        "decoder_finetuned": "true" if decoder_finetune else "false",
-    }
-    if decoder_finetune:
-        tensors.update(autoencoder.decoder_side_params())
-    base = {"stage": "stage2", "tasks": ",".join(prior.task_names)}
-    base.update(meta)
-    return Checkpoint.from_tensors(tensors, base, cfg.snapshot())
+    train_epochs(
+        prior.params() | decoder,
+        cfg,
+        cfg.finetune_epochs,
+        run_rng,
+        len(windows),
+        batch_loss,
+        metrics,
+        lambda epoch, loss: dict(phase="finetune", epoch=epoch, loss=loss, seed=seed),
+    )
+    finetuned = "true" if decoder_finetune else "false"
+    meta = {"stage1_sha256": stage1_sha256, "decoder_finetuned": finetuned}
+    return prior.to_checkpoint(cfg, meta, decoder)
+

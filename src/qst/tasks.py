@@ -252,15 +252,14 @@ def success(path: np.ndarray, task: TaskSpec) -> bool:
 class PointEnv:
     """Deterministic 2D point agent with bounded per-axis displacement.
 
-    Tracks the visited path and the running corridor violation per branch so
-    success can be checked cheaply after every step.
+    Tracks the running corridor violation per branch so success can be
+    checked cheaply after every step.
     """
 
     def __init__(self, task: TaskSpec):
         self.task = task
         self.position = task.start.copy()
         self.step_count = 0
-        self._path: list[np.ndarray] = [self.position.copy()]
         self._worst = np.zeros(len(task.branches))
         self._update_worst()
 
@@ -270,7 +269,6 @@ class PointEnv:
             start = start + START_NOISE * rng.normal(size=2)
         self.position = np.clip(start, -ARENA, ARENA)
         self.step_count = 0
-        self._path = [self.position.copy()]
         self._worst = np.zeros(len(self.task.branches))
         self._update_worst()
         return self.observation()
@@ -285,15 +283,11 @@ class PointEnv:
         a = np.clip(np.asarray(action, dtype=np.float64), -MAX_STEP, MAX_STEP)
         self.position = np.clip(self.position + a, -ARENA, ARENA)
         self.step_count += 1
-        self._path.append(self.position.copy())
         self._update_worst()
         return self.observation()
 
     def observation(self) -> np.ndarray:
         return np.concatenate([self.position, self.task.goal])
-
-    def path(self) -> np.ndarray:
-        return np.asarray(self._path)
 
     def succeeded(self) -> bool:
         for b, branch in enumerate(self.task.branches):

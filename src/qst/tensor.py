@@ -21,7 +21,7 @@ from contextlib import contextmanager
 import numpy as np
 from scipy.special import erf as _erf
 
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError, DimensionError, RangeError
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -462,8 +462,6 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
 
     ``logits`` has shape (..., K); ``targets`` the corresponding (...) ints.
     """
-    from .errors import RangeError
-
     idx = np.asarray(targets)
     if idx.shape != logits.shape[:-1]:
         raise DimensionError(f"targets shape {idx.shape} != logits rows {logits.shape[:-1]}")

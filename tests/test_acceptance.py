@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from qst import fsq, tasks
-from qst import tensor as T
 from qst.autoencoder import SkillAutoencoder, mean_reconstruction_error, train_stage1
 from qst.checkpoint import Checkpoint
 from qst.config import RunConfig
@@ -202,11 +201,9 @@ def test_criterion_3_causality():
         m = SkillAutoencoder(RunConfig(decoder_causal=flag), np.random.default_rng(32))
         codes = np.arange(8) * 3
         base_out = m.decode(codes)
-        table = m.decoder.query_table.copy()
-        table[24] += 1.0
-        with T.no_grad():
-            feats = m.fsq.codes_to_features(fsq.index_to_code(codes[None], m.spec))
-            bumped_out = m.decoder(feats, query_table=table).data[0]
+        m.decoder.query_table = m.decoder.query_table.copy()
+        m.decoder.query_table[24] += 1.0
+        bumped_out = m.decode(codes)
         clean = np.array_equal(base_out[:24], bumped_out[:24])
         if flag:
             decoder_ok = clean

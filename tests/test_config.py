@@ -66,6 +66,18 @@ class TestRunConfig:
 
         assert {f.name for f in fields(RunConfig)} == set(_DOCS)
 
+    def test_documented_defaults_parse_back_to_defaults(self):
+        from dataclasses import fields
+
+        from qst.config import _DOCS
+
+        text = RunConfig.documented_defaults()
+        assert RunConfig.from_text(text) == RunConfig()
+        lines = text.splitlines()
+        for f in fields(RunConfig):
+            at = next(i for i, line in enumerate(lines) if line.startswith(f"{f.name} = "))
+            assert lines[at - 1] == f"# {_DOCS[f.name]}"
+
     def test_structural_keys_detect_model_changes(self):
         a = RunConfig()
         b = RunConfig(prior_layers=5)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qst import tasks
+from qst import optim, tasks
 from qst.autoencoder import SkillAutoencoder, train_stage1
 from qst.config import RunConfig
 from qst.errors import ArgumentError, ConfigurationError, DimensionError, RangeError
@@ -385,16 +385,29 @@ class TestTrainStage2:
 
 
 class TestFinetune:
-    def test_frozen_decoder_mode_leaves_decoder_bitwise(self, tiny_pipeline):
+    @pytest.mark.parametrize("decoder_finetune", [False, True])
+    def test_optimizer_trains_prior_and_optionally_decoder(
+        self, tiny_pipeline, monkeypatch, decoder_finetune
+    ):
         cfg, ds, stage1, stage2 = tiny_pipeline
+        handed = []
+
+        class RecordingAdam(optim.Adam):
+            def __init__(self, params, **kwargs):
+                handed.extend(params)
+                super().__init__(params, **kwargs)
+
+        monkeypatch.setattr(optim, "Adam", RecordingAdam)
         demos = tasks.generate_suite(5, task_names=("zigzag",), demos_per_task=2)
-        out = finetune_fewshot(stage1, stage2, demos, cfg, seed=0, decoder_finetune=False)
-        assert out.meta["decoder_finetuned"] == "false"
-        assert not any(k.startswith("decoder.") for k in out.params)
-        model = SkillAutoencoder.from_checkpoint(stage1)
-        reference = SkillAutoencoder.from_checkpoint(stage1)
-        for (k, a), b in zip(model.params().items(), reference.params().values()):
-            np.testing.assert_array_equal(a.data, b.data)
+        out = finetune_fewshot(stage1, stage2, demos, cfg, seed=0, decoder_finetune=decoder_finetune)
+        expected = set(SkillPrior.from_checkpoint(stage2)[0].params())
+        if decoder_finetune:
+            expected |= set(SkillAutoencoder.from_checkpoint(stage1).decoder_side_params())
+        assert len(handed) == len(set(handed))
+        assert set(handed) == expected
+        assert not any(name.startswith(("encoder.", "fsq.")) for name in handed)
+        assert set(out.params) == expected
+        assert out.meta["decoder_finetuned"] == ("true" if decoder_finetune else "false")
 
     def test_decoder_finetune_changes_decoder_and_ships_it(self, tiny_pipeline):
         cfg, ds, stage1, stage2 = tiny_pipeline

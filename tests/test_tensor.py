@@ -6,10 +6,12 @@ import weakref
 import numpy as np
 import pytest
 
+from qst import optim
 from qst import tensor as T
+from qst.config import RunConfig
 from qst.errors import ConfigurationError, DimensionError, NumericalError
 from qst.gradcheck import grad_check
-from qst.optim import Adam
+from qst.optim import Adam, train_epochs
 from qst.tensor import Tensor
 
 
@@ -387,3 +389,52 @@ class TestAdam:
         opt.step()
         opt.step()
         assert opt.step_count == 2
+
+
+class TestTrainEpochs:
+    def test_caps_epochs_steps_once_per_batch_and_logs_weighted_mean(self, monkeypatch):
+        steps = []
+        step = optim.Adam.step
+        monkeypatch.setattr(optim.Adam, "step", lambda opt: steps.append(1) or step(opt))
+        w = Tensor(np.zeros(2), requires_grad=True)
+        rng = np.random.default_rng(31)
+        batches = []
+
+        def batch_loss(idx):
+            batches.append(idx.copy())
+            rng.random()  # stands in for dropout draws on the shared generator
+            return (w * 0.0).sum() + float(idx.mean())
+
+        class Rows:
+            rows = []
+
+            def log(self, **row):
+                self.rows.append(row)
+
+        metrics = Rows()
+        cfg = RunConfig(batch_size=3, learning_rate=0.1)
+        row = lambda epoch, loss: {"epoch": epoch, "loss": loss}
+        train_epochs({"w": w}, cfg, 2, rng, 10, batch_loss, metrics, row, cap=7)
+
+        replay = np.random.default_rng(31)
+        for epoch in range(2):
+            order = replay.permutation(10)[:7]
+            expected = [order[0:3], order[3:6], order[6:7]]
+            got = batches[3 * epoch : 3 * epoch + 3]
+            for a, b in zip(got, expected):
+                np.testing.assert_array_equal(a, b)
+                replay.random()
+            assert metrics.rows[epoch]["epoch"] == epoch
+            assert metrics.rows[epoch]["loss"] == pytest.approx(order.mean(), abs=1e-12)
+        assert len(batches) == 6 and len(steps) == 6 and len(metrics.rows) == 2
+        assert rng.random() == replay.random()
+
+    def test_no_writer_builds_no_row(self):
+        w = Tensor(np.zeros(2), requires_grad=True)
+
+        def row(epoch, loss):
+            raise AssertionError("row built without a metrics writer")
+
+        rng = np.random.default_rng(0)
+        loss = lambda idx: (w * 1.0).sum()
+        train_epochs({"w": w}, RunConfig(batch_size=4), 1, rng, 5, loss, None, row)
