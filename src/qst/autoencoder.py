@@ -31,6 +31,7 @@ from .nn import (
     causal_mask,
     load_params,
     named_params,
+    normal_param,
 )
 from .optim import train_epochs
 from .tensor import Tensor
@@ -40,7 +41,7 @@ ACTION_INPUT_SCALE = 16.0  # lifts ~0.05-scale actions to unit scale (exact in b
 
 
 class SkillEncoder:
-    def __init__(self, rng: np.random.Generator, cfg: RunConfig):
+    def __init__(self, rng: np.random.Generator | None, cfg: RunConfig):
         self.cfg = cfg
         dim = cfg.encoder_dim
         widths = (cfg.action_dim,) + (dim,) * (len(cfg.conv_kernels) - 1)
@@ -70,13 +71,11 @@ class SkillEncoder:
 
 
 class SkillDecoder:
-    def __init__(self, rng: np.random.Generator, cfg: RunConfig):
+    def __init__(self, rng: np.random.Generator | None, cfg: RunConfig):
         self.cfg = cfg
         dim = cfg.decoder_dim
         self.query_table = T.sinusoidal_table(cfg.T, dim)  # fixed, not learned
-        self.token_pos = Tensor(
-            rng.normal(0.0, 0.02, size=(cfg.n_tokens, dim)), requires_grad=True
-        )
+        self.token_pos = normal_param(rng, 0.02, (cfg.n_tokens, dim))
         self.blocks = [
             CrossAttentionBlock(rng, dim, cfg.decoder_heads, cfg.attention_dropout)
             for _ in range(cfg.decoder_layers)
@@ -108,7 +107,10 @@ class EncodeResult:
 
 
 class SkillAutoencoder:
-    def __init__(self, cfg: RunConfig, rng: np.random.Generator):
+    """Encoder, quantizer projections and decoder; ``rng=None`` leaves the
+    weights uninitialised for :meth:`from_checkpoint` to fill."""
+
+    def __init__(self, cfg: RunConfig, rng: np.random.Generator | None):
         self.cfg = cfg
         self.spec = FsqSpec(cfg.fsq_levels)
         self.encoder = SkillEncoder(rng, cfg)
@@ -180,8 +182,8 @@ class SkillAutoencoder:
     @classmethod
     def from_checkpoint(cls, ckpt: Checkpoint) -> "SkillAutoencoder":
         cfg = RunConfig.from_text(ckpt.config_text)
-        model = cls(cfg, np.random.default_rng(0))
-        load_params(model.params(), ckpt.params_f64())
+        model = cls(cfg, None)
+        load_params(model.params(), ckpt.params)
         return model
 
     def to_checkpoint(self) -> Checkpoint:

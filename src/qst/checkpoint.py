@@ -36,34 +36,38 @@ class Checkpoint:
         params = {name: t.data.astype("<f4") for name, t in tensors.items()}
         return cls(params=params, meta=dict(meta), config_text=config_text)
 
-    def params_f64(self) -> dict[str, np.ndarray]:
-        return {name: arr.astype(np.float64) for name, arr in self.params.items()}
-
-    def to_bytes(self) -> bytes:
+    def chunks(self):
+        """The serialized file in pieces: the ASCII header, then each
+        array's little-endian float32 bytes as a memoryview (no copy for
+        arrays that already are contiguous ``<f4``)."""
         lines = [MAGIC]
         for key, value in self.meta.items():
             lines.append(f"# meta {key} = {value}")
         for cfg_line in self.config_text.splitlines():
             if cfg_line.strip():
                 lines.append(f"# cfg {cfg_line}")
-        blobs = []
+        arrays = [np.ascontiguousarray(arr, dtype="<f4") for arr in self.params.values()]
         offset = 0
-        for name, arr in self.params.items():
-            arr = np.ascontiguousarray(arr, dtype="<f4")
+        for name, arr in zip(self.params, arrays):
             dims = ",".join(str(d) for d in arr.shape)
             lines.append(f"{name}\tf32\t{dims}\t{offset}")
-            blob = arr.tobytes()
-            blobs.append(blob)
-            offset += len(blob)
-        header = "\n".join(lines) + "\n\n"
-        return header.encode("ascii") + b"".join(blobs)
+            offset += arr.nbytes
+        yield ("\n".join(lines) + "\n\n").encode("ascii")
+        for arr in arrays:
+            yield arr.reshape(-1).data
+
+    def to_bytes(self) -> bytes:
+        return b"".join(self.chunks())
 
     def save(self, path) -> None:
         with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
+            fh.writelines(self.chunks())
 
     def content_sha256(self) -> str:
-        return hashlib.sha256(self.to_bytes()).hexdigest()
+        digest = hashlib.sha256()
+        for chunk in self.chunks():
+            digest.update(chunk)
+        return digest.hexdigest()
 
     @classmethod
     def load(cls, path) -> "Checkpoint":

@@ -147,7 +147,7 @@ class FsqLayer:
     utilization high.
     """
 
-    def __init__(self, rng: np.random.Generator, spec: FsqSpec, in_dim: int, out_dim: int):
+    def __init__(self, rng: np.random.Generator | None, spec: FsqSpec, in_dim: int, out_dim: int):
         self.spec = spec
         self.in_proj = Linear(rng, in_dim, spec.dim, std=IN_PROJ_GAIN / np.sqrt(in_dim))
         self.out_proj = Linear(rng, spec.dim, out_dim)

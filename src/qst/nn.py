@@ -4,6 +4,11 @@ A module's parameters are its ``Tensor`` attributes: :func:`named_params`
 collects them into the flat name->Tensor dict that checkpoints and
 optimizers work on.  Forward passes thread the run's random generator and a
 ``training`` flag for dropout.
+
+Every constructor that draws weights takes ``rng=None`` to leave them
+uninitialised instead (``np.empty``): model loading builds its module tree that
+way and lets :func:`load_params`, which refuses a missing or extra name,
+overwrite every parameter, so no weight is drawn only to be thrown away.
 """
 
 from __future__ import annotations
@@ -34,16 +39,23 @@ def named_params(module, prefix: str = "") -> dict[str, Tensor]:
     return out
 
 
+def normal_param(rng: np.random.Generator | None, std: float, shape: tuple[int, ...]) -> Tensor:
+    """A trainable tensor drawn from N(0, std^2), or uninitialised when
+    ``rng`` is None."""
+    data = np.empty(shape) if rng is None else rng.normal(0.0, std, size=shape)
+    return Tensor(data, requires_grad=True)
+
+
 def causal_mask(length: int) -> np.ndarray:
     """Lower-triangular boolean mask: position i may attend to j <= i."""
     return np.tril(np.ones((length, length), dtype=bool))
 
 
 class Linear:
-    def __init__(self, rng: np.random.Generator, d_in: int, d_out: int, std: float | None = None):
+    def __init__(self, rng: np.random.Generator | None, d_in: int, d_out: int, std: float | None = None):
         if std is None:
             std = 1.0 / np.sqrt(d_in)
-        self.weight = Tensor(rng.normal(0.0, std, size=(d_in, d_out)), requires_grad=True)
+        self.weight = normal_param(rng, std, (d_in, d_out))
         self.bias = Tensor(np.zeros(d_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -53,9 +65,9 @@ class Linear:
 class CausalConv:
     """Causal strided 1D convolution plus bias (see ``tensor.causal_conv1d``)."""
 
-    def __init__(self, rng: np.random.Generator, ksize: int, c_in: int, c_out: int, stride: int):
+    def __init__(self, rng: np.random.Generator | None, ksize: int, c_in: int, c_out: int, stride: int):
         std = 1.0 / np.sqrt(ksize * c_in)
-        self.kernel = Tensor(rng.normal(0.0, std, size=(ksize, c_in, c_out)), requires_grad=True)
+        self.kernel = normal_param(rng, std, (ksize, c_in, c_out))
         self.bias = Tensor(np.zeros(c_out), requires_grad=True)
         self.stride = stride
 
@@ -73,8 +85,8 @@ class LayerNorm:
 
 
 class Embedding:
-    def __init__(self, rng: np.random.Generator, rows: int, dim: int, std: float = 0.02):
-        self.table = Tensor(rng.normal(0.0, std, size=(rows, dim)), requires_grad=True)
+    def __init__(self, rng: np.random.Generator | None, rows: int, dim: int, std: float = 0.02):
+        self.table = normal_param(rng, std, (rows, dim))
 
     def __call__(self, indices: np.ndarray) -> Tensor:
         return T.embedding(self.table, indices)
@@ -90,7 +102,7 @@ class MultiHeadAttention:
     lives on the module, so :func:`named_params` cannot pick it up.
     """
 
-    def __init__(self, rng: np.random.Generator, dim: int, heads: int, dropout: float):
+    def __init__(self, rng: np.random.Generator | None, dim: int, heads: int, dropout: float):
         if dim % heads != 0:
             raise ValueError(f"dim {dim} not divisible by heads {heads}")
         self.heads = heads
@@ -130,7 +142,7 @@ class MultiHeadAttention:
 
 
 class FeedForward:
-    def __init__(self, rng: np.random.Generator, dim: int, hidden: int | None = None):
+    def __init__(self, rng: np.random.Generator | None, dim: int, hidden: int | None = None):
         hidden = hidden or 4 * dim
         self.fc1 = Linear(rng, dim, hidden)
         self.fc2 = Linear(rng, hidden, dim)
@@ -142,7 +154,7 @@ class FeedForward:
 class TransformerBlock:
     """Pre-norm self-attention block; ``cache`` goes to the attention."""
 
-    def __init__(self, rng: np.random.Generator, dim: int, heads: int, dropout: float):
+    def __init__(self, rng: np.random.Generator | None, dim: int, heads: int, dropout: float):
         self.ln1 = LayerNorm(dim)
         self.attn = MultiHeadAttention(rng, dim, heads, dropout)
         self.ln2 = LayerNorm(dim)
@@ -156,7 +168,7 @@ class TransformerBlock:
 class CrossAttentionBlock:
     """Pre-norm block: masked self-attention, then cross-attention, then FFN."""
 
-    def __init__(self, rng: np.random.Generator, dim: int, heads: int, dropout: float):
+    def __init__(self, rng: np.random.Generator | None, dim: int, heads: int, dropout: float):
         self.ln_self = LayerNorm(dim)
         self.self_attn = MultiHeadAttention(rng, dim, heads, dropout)
         self.ln_cross = LayerNorm(dim)
@@ -171,7 +183,8 @@ class CrossAttentionBlock:
 
 
 def load_params(params: dict[str, Tensor], arrays: dict[str, np.ndarray]) -> None:
-    """Overwrite parameter data from checkpoint arrays (widened to float64)."""
+    """Overwrite parameter data in place from checkpoint arrays, widening
+    each (float32 on disk) into the parameter's own float64 array."""
     missing = set(params) - set(arrays)
     extra = set(arrays) - set(params)
     if missing or extra:
@@ -179,12 +192,12 @@ def load_params(params: dict[str, Tensor], arrays: dict[str, np.ndarray]) -> Non
             f"parameter mismatch: missing={sorted(missing)} extra={sorted(extra)}"
         )
     for name, p in params.items():
-        arr = np.asarray(arrays[name], dtype=np.float64)
+        arr = np.asarray(arrays[name])
         if arr.shape != p.data.shape:
             raise ConfigurationError(
                 f"shape mismatch for '{name}': {arr.shape} vs {p.data.shape}"
             )
-        p.data = arr
+        np.copyto(p.data, arr)
 
 
 def set_requires_grad(params: dict[str, Tensor], flag: bool) -> None:

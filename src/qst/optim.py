@@ -8,9 +8,14 @@ from typing import Callable
 import numpy as np
 
 from .config import RunConfig
-from .errors import NumericalError
+from .errors import ArgumentError, NumericalError
 from .metrics import MetricsWriter
 from .tensor import Tensor
+
+
+# elements per update block: the block's slices of the parameter, gradient,
+# moments and scratch buffer (256 KB each) stay in cache across its operations
+BLOCK = 1 << 15
 
 
 class Adam:
@@ -20,8 +25,12 @@ class Adam:
     arrays, so a graph built before a step must not be back-propagated after
     it) and then releases its gradient (``.grad = None``), so gradients do not
     stay alive until the next step.  Parameters whose ``.grad`` is ``None`` are
-    skipped; a non-finite gradient aborts the whole update before any
-    parameter or gradient is touched.
+    skipped; a non-finite gradient (or a parameter array that is not
+    C-contiguous, which modules never build) aborts the whole update before
+    any parameter or gradient is touched.  The update runs in blocks of
+    :data:`BLOCK` elements through one preallocated scratch buffer, with the
+    same operations in the same order as a whole-array update, so the
+    parameters it produces are bitwise the same.
     """
 
     def __init__(
@@ -38,8 +47,10 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+        self.m = {name: np.zeros(p.data.shape) for name, p in self.params.items()}
+        self.v = {name: np.zeros(p.data.shape) for name, p in self.params.items()}
+        largest = max((p.data.size for p in self.params.values()), default=0)
+        self._scratch = np.empty(min(largest, BLOCK))
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -47,27 +58,41 @@ class Adam:
 
     def step(self) -> None:
         for name, p in self.params.items():
-            if p.grad is not None and not np.isfinite(p.grad).all():
+            g = p.grad
+            if g is None:
+                continue
+            # a NaN or infinity shows in the max or the min; no boolean temporary
+            if g.size and not (np.isfinite(g.max()) and np.isfinite(g.min())):
                 raise NumericalError(f"non-finite gradient for parameter '{name}'")
+            if not p.data.flags.c_contiguous:
+                raise ArgumentError(f"parameter '{name}' is not a C-contiguous array")
         self.step_count += 1
         t = self.step_count
         correction1 = 1.0 - self.beta1**t
         correction2 = 1.0 - self.beta2**t
         for name, p in self.params.items():
-            g = p.grad
-            if g is None:
+            if p.grad is None:
                 continue
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            denom = np.sqrt(v / correction2)
-            denom += self.eps
-            update = np.divide(m, denom, out=denom)
-            update *= self.lr / correction1
-            p.data -= update
+            data = p.data.reshape(-1)
+            grad = p.grad.reshape(-1)
+            m = self.m[name].reshape(-1)
+            v = self.v[name].reshape(-1)
+            for lo in range(0, data.size, BLOCK):
+                g = grad[lo : lo + BLOCK]
+                mb = m[lo : lo + BLOCK]
+                vb = v[lo : lo + BLOCK]
+                s = self._scratch[: g.size]
+                mb *= self.beta1
+                mb += np.multiply(g, 1.0 - self.beta1, out=s)
+                vb *= self.beta2
+                np.multiply(g, g, out=s)
+                vb += np.multiply(s, 1.0 - self.beta2, out=s)
+                np.divide(vb, correction2, out=s)
+                np.sqrt(s, out=s)
+                s += self.eps
+                np.divide(mb, s, out=s)
+                s *= self.lr / correction1
+                data[lo : lo + BLOCK] -= s
             p.grad = None
 
 

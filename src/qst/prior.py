@@ -36,6 +36,7 @@ from .nn import (
     causal_mask,
     load_params,
     named_params,
+    normal_param,
     set_requires_grad,
 )
 from .optim import train_epochs
@@ -76,7 +77,7 @@ class PriorConfig:
 class ObservationEncoder:
     """MLP from proprioceptive input to one model-dim token per timestep."""
 
-    def __init__(self, rng: np.random.Generator, obs_dim: int, dim: int):
+    def __init__(self, rng: np.random.Generator | None, obs_dim: int, dim: int):
         self.fc1 = Linear(rng, obs_dim, dim)
         self.fc2 = Linear(rng, dim, dim)
 
@@ -85,15 +86,16 @@ class ObservationEncoder:
 
 
 class SkillPrior:
-    def __init__(self, cfg: PriorConfig, task_names: list[str], rng: np.random.Generator):
+    """The stage-II transformer; ``rng=None`` leaves the weights
+    uninitialised for :meth:`from_checkpoint` to fill."""
+
+    def __init__(self, cfg: PriorConfig, task_names: list[str], rng: np.random.Generator | None):
         if not task_names:
             raise ArgumentError("the prior needs at least one task")
         self.cfg = cfg
         self.task_names = list(task_names)
         self.token_emb = Embedding(rng, cfg.vocab + 1, cfg.dim)
-        self.task_table = Tensor(
-            rng.normal(0.0, 0.02, size=(len(task_names), cfg.dim)), requires_grad=True
-        )
+        self.task_table = normal_param(rng, 0.02, (len(task_names), cfg.dim))
         self.obs = ObservationEncoder(rng, cfg.obs_dim, cfg.dim)
         self.blocks = [
             TransformerBlock(rng, cfg.dim, cfg.heads, cfg.attn_dropout)
@@ -267,8 +269,8 @@ class SkillPrior:
         task_names = ckpt.meta.get("tasks", "").split(",")
         if task_names == [""]:
             raise ConfigurationError("checkpoint is missing its task list")
-        prior = cls(PriorConfig.from_run_config(cfg), task_names, np.random.default_rng(0))
-        arrays = {k: v for k, v in ckpt.params_f64().items() if k.startswith("prior.")}
+        prior = cls(PriorConfig.from_run_config(cfg), task_names, None)
+        arrays = {k: v for k, v in ckpt.params.items() if k.startswith("prior.")}
         load_params(prior.params(), arrays)
         return prior, cfg
 

@@ -16,6 +16,8 @@ numpy arrays, not tensors.
 
 from __future__ import annotations
 
+import ctypes
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -27,6 +29,39 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 _grad_enabled = True
+
+# glibc mallopt parameters (malloc.h) and the values set at import.  A
+# training step frees a graph of hundreds of megabytes and the next step
+# builds one as large.  By default glibc adapts its mmap threshold to the
+# largest block freed so far and trims the heap top above twice that, so the
+# freed graph goes back to the OS and the next step page-faults it in again:
+# about 39k minor faults per stage-II and 54k per stage-I step at the default
+# shapes and batch 64.
+# A trim threshold above any step's graph keeps that heap in the process;
+# the mmap threshold is then fixed, at glibc's dynamic maximum of 32 MB, so
+# every array below it comes from the heap (measured against 4 MB: equal or
+# better on training and batched inference, and 0 faults per training step).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_TRIM_THRESHOLD = 1 << 30
+_MMAP_THRESHOLD = 32 << 20
+
+
+def _keep_freed_heap() -> None:
+    """Set glibc's trim and mmap thresholds once; a no-op where the C
+    library has no ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no C library symbols, or no mallopt
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in ((_M_TRIM_THRESHOLD, _TRIM_THRESHOLD), (_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)):
+        if mallopt(param, value) != 1:
+            warnings.warn(f"mallopt({param}, {value}) failed", RuntimeWarning, stacklevel=2)
+
+
+_keep_freed_heap()
 
 
 @contextmanager

@@ -4,7 +4,8 @@ Criteria 5-7 train the real pipeline on the synthetic suite and reuse the
 session-scoped checkpoints below; their training budgets were fixed by
 pilot runs on a 2-CPU box and are recorded in ACCEPT_CONFIG.  Runtime
 budgets are asserted per criterion; the trained criteria are also stopped
-once their budget runs out, since a later check cannot rescue them.
+once their budget runs out, since a later check cannot rescue them.  They
+carry the ``trained`` marker: ``pytest -m "not trained"`` runs the rest.
 """
 
 import contextlib
@@ -304,6 +305,7 @@ def stage2(suite_files, stage1):
     return ckpt
 
 
+@pytest.mark.trained
 def test_criterion_5_stage1_training(stage1):
     ckpt, _, held = stage1
     t0 = time.perf_counter()
@@ -337,6 +339,7 @@ def test_criterion_5_stage1_training(stage1):
     )
 
 
+@pytest.mark.trained
 def test_criterion_6_stage2_closed_loop(suite_files, stage1, stage2):
     t0 = time.perf_counter()
     with time_limit("criterion 6 (stage-2 + closed loop)", STAGE2_BUDGET_S - _timings["stage2"]):
@@ -359,6 +362,7 @@ def test_criterion_6_stage2_closed_loop(suite_files, stage1, stage2):
     )
 
 
+@pytest.mark.trained
 def test_criterion_7_few_shot(suite_files, stage1, stage2):
     t0 = time.perf_counter()
     with time_limit("criterion 7 (few-shot)", FEWSHOT_BUDGET_S):

@@ -6,6 +6,7 @@ import pytest
 from qst import optim, tasks
 from qst.autoencoder import SkillAutoencoder, train_stage1
 from qst.config import RunConfig
+from qst.controller import Policy
 from qst.errors import ArgumentError, ConfigurationError, DimensionError, RangeError
 from qst.gradcheck import grad_check_params
 from qst.nn import TransformerBlock
@@ -205,6 +206,46 @@ class TestFromCheckpoint:
         ckpt.params["prior.head.bias"] = ckpt.params["prior.head.bias"][:-1]
         with pytest.raises(ConfigurationError, match="shape mismatch"):
             SkillPrior.from_checkpoint(ckpt)
+
+    def test_loading_draws_no_random_weights(self, monkeypatch):
+        """Loading builds its modules uninitialised and fills every weight
+        from the checkpoint, bitwise the stored float32 values."""
+        cfg = tiny_config()
+        rng = np.random.default_rng(5)
+        autoencoder = SkillAutoencoder(cfg, rng)
+        stage1 = autoencoder.to_checkpoint()
+        prior = SkillPrior(PriorConfig.from_run_config(cfg), ["a", "b"], rng)
+        meta = {"stage1_sha256": stage1.content_sha256(), "decoder_finetuned": "true"}
+        for p in autoencoder.decoder_side_params().values():
+            p.data += 0.25  # finetuned decoder weights differ from stage 1's
+        stage2 = prior.to_checkpoint(cfg, meta, autoencoder.decoder_side_params())
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("loading made a random generator")
+
+        # numpy's Generator type is immutable, so its methods cannot be
+        # patched; qst gets every generator it draws from default_rng
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        loaded_ae = SkillAutoencoder.from_checkpoint(stage1)
+        loaded_prior, _ = SkillPrior.from_checkpoint(stage2)
+        policy = Policy(stage1, stage2)
+
+        def assert_bitwise(params, ckpt):
+            for name, p in params.items():
+                assert p.data.dtype == np.float64
+                np.testing.assert_array_equal(p.data, ckpt.params[name].astype(np.float64))
+
+        assert_bitwise(loaded_ae.params(), stage1)
+        assert_bitwise(loaded_prior.params(), stage2)
+        assert_bitwise(policy.prior.params(), stage2)
+        assert_bitwise(policy.autoencoder.encoder_side_params(), stage1)
+        assert_bitwise(policy.autoencoder.decoder_side_params(), stage2)
+
+    def test_autoencoder_missing_parameter_is_configuration_error(self):
+        ckpt = SkillAutoencoder(tiny_config(), np.random.default_rng(6)).to_checkpoint()
+        del ckpt.params["decoder.token_pos"]
+        with pytest.raises(ConfigurationError, match="decoder.token_pos"):
+            SkillAutoencoder.from_checkpoint(ckpt)
 
 
 class TestSampling:

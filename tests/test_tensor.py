@@ -1,6 +1,10 @@
 """Tensor engine: primitive contracts and gradient oracles."""
 
+import ctypes
 import gc
+import os
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -9,7 +13,7 @@ import pytest
 from qst import optim
 from qst import tensor as T
 from qst.config import RunConfig
-from qst.errors import ConfigurationError, DimensionError, NumericalError
+from qst.errors import ArgumentError, ConfigurationError, DimensionError, NumericalError
 from qst.gradcheck import grad_check
 from qst.optim import Adam, train_epochs
 from qst.tensor import Tensor
@@ -389,6 +393,130 @@ class TestAdam:
         opt.step()
         opt.step()
         assert opt.step_count == 2
+
+    @staticmethod
+    def _blocked_params(rng):
+        """Two parameters larger than one update block with ragged tails, a
+        small one, and one that never receives a gradient."""
+        return {
+            "big": Tensor(rng.normal(size=2 * optim.BLOCK + 123), requires_grad=True),
+            "wide": Tensor(rng.normal(size=(3, optim.BLOCK // 2 + 7)), requires_grad=True),
+            "small": Tensor(rng.normal(size=(2, 3)), requires_grad=True),
+            "unused": Tensor(rng.normal(size=5), requires_grad=True),
+        }
+
+    def test_blocked_step_is_bitwise_the_whole_array_update(self):
+        lr, beta1, beta2, eps = 1e-3, 0.9, 0.999, 1e-8
+        rng = np.random.default_rng(27)
+        params = self._blocked_params(rng)
+        ref = {name: p.data.copy() for name, p in params.items()}
+        m = {name: np.zeros_like(arr) for name, arr in ref.items()}
+        v = {name: np.zeros_like(arr) for name, arr in ref.items()}
+        opt = Adam(params, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+        for t in range(1, 5):
+            grads = {name: rng.normal(size=p.shape) for name, p in params.items() if name != "unused"}
+            for name, g in grads.items():
+                params[name].grad = g.copy()
+            opt.step()
+            # the whole-array update the blocked one must reproduce bitwise
+            c1, c2 = 1.0 - beta1**t, 1.0 - beta2**t
+            for name, g in grads.items():
+                m[name] *= beta1
+                m[name] += (1.0 - beta1) * g
+                v[name] *= beta2
+                v[name] += (1.0 - beta2) * (g * g)
+                denom = np.sqrt(v[name] / c2)
+                denom += eps
+                ref[name] -= (m[name] / denom) * (lr / c1)
+            for name, p in params.items():
+                np.testing.assert_array_equal(p.data, ref[name])
+                np.testing.assert_array_equal(opt.m[name], m[name])
+                np.testing.assert_array_equal(opt.v[name], v[name])
+        assert all(p.grad is None for p in params.values())
+
+    def test_non_contiguous_parameter_is_refused_before_any_update(self):
+        rng = np.random.default_rng(29)
+        params = {
+            "a": Tensor(rng.normal(size=4), requires_grad=True),
+            "t": Tensor(rng.normal(size=(3, 2)).T, requires_grad=True),
+        }
+        before = {name: p.data.copy() for name, p in params.items()}
+        opt = Adam(params, lr=0.1)
+        for p in params.values():
+            p.grad = np.ones(p.shape)
+        with pytest.raises(ArgumentError, match="'t'"):
+            opt.step()
+        for name, p in params.items():
+            np.testing.assert_array_equal(p.data, before[name])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_last_element_aborts_before_any_update(self, bad):
+        rng = np.random.default_rng(28)
+        params = self._blocked_params(rng)
+        opt = Adam(params, lr=0.1)
+        for p in params.values():  # one clean step so the moments are not all zero
+            p.grad = rng.normal(size=p.shape)
+        opt.step()
+        for name in ("big", "wide", "small"):
+            params[name].grad = rng.normal(size=params[name].shape)
+        params["wide"].grad[-1, -1] = bad
+        data = {name: p.data.copy() for name, p in params.items()}
+        m = {name: arr.copy() for name, arr in opt.m.items()}
+        v = {name: arr.copy() for name, arr in opt.v.items()}
+        grads = {name: p.grad.copy() for name, p in params.items() if p.grad is not None}
+        with pytest.raises(NumericalError, match="'wide'"):
+            opt.step()
+        assert opt.step_count == 1
+        for name, p in params.items():
+            np.testing.assert_array_equal(p.data, data[name])
+            np.testing.assert_array_equal(opt.m[name], m[name])
+            np.testing.assert_array_equal(opt.v[name], v[name])
+            if name in grads:
+                np.testing.assert_array_equal(p.grad, grads[name])
+
+
+# One warm-up stage-II step of a small prior, then two more: the minor page
+# faults of the last two.  Its activations, weights and gradients (128 KB to
+# 1.3 MB) all lie above glibc's default 128 KB mmap threshold.
+_STEP_FAULTS = """
+import resource
+import numpy as np
+from qst.optim import Adam
+from qst.prior import PriorConfig, SkillPrior
+
+rng = np.random.default_rng(0)
+prior = SkillPrior(PriorConfig(vocab=500, n_tokens=8, dim=128, layers=2, heads=4, obs_dim=4), ["a", "b"], rng)
+opt = Adam(prior.params(), lr=1e-4)
+task, obs, targets = rng.integers(0, 2, 32), rng.normal(size=(32, 1, 4)), rng.integers(0, 500, (32, 8))
+
+def step():
+    opt.zero_grad()
+    prior.nll(task, obs, targets, rng=rng, training=True).backward()
+    opt.step()
+
+step()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+step()
+step()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(
+    not hasattr(ctypes.CDLL(None) if os.name == "posix" else None, "mallopt"),
+    reason="the C library has no mallopt",
+)
+def test_training_steps_reuse_freed_heap():
+    """A step rebuilds a graph as large as the one the previous step freed;
+    the heap that graph lived in stays in the process, so after one warm-up
+    step the next steps fault no pages in."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", _STEP_FAULTS], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) < 50
 
 
 class TestTrainEpochs:
