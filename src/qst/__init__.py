@@ -16,7 +16,7 @@ from .fsq import FsqSpec, bound, code_to_index, index_to_code, quantize, utiliza
 from .gradcheck import grad_check, grad_check_params
 from .optim import Adam
 from .prior import SkillPrior, finetune_fewshot, train_stage2
-from .tasks import PointEnv, TaskSpec, generate_suite, success
+from .tasks import PointEnv, TaskSpec, generate_suite
 from .tensor import Tensor, no_grad
 
 __version__ = "0.1.0"
@@ -48,7 +48,6 @@ __all__ = [
     "quantize",
     "read_dataset",
     "rollout",
-    "success",
     "train_stage1",
     "train_stage2",
     "utilization",

@@ -20,7 +20,7 @@ from .config import RunConfig
 from .checkpoint import Checkpoint
 from .data import TrajectoryDataset, window_arrays
 from .errors import ArgumentError, DimensionError
-from .fsq import FsqLayer, FsqSpec, bound, code_to_index, index_to_code, quantize
+from .fsq import FsqLayer, FsqSpec, code_to_index, index_to_code
 from .metrics import MetricsWriter
 from .nn import (
     CausalConv,
@@ -126,11 +126,9 @@ class SkillAutoencoder:
         if single:
             arr = arr[None]
         with T.no_grad():
-            h = self.encoder(Tensor(arr))
-            e = self.fsq.in_proj(h)
-            prequant = bound(e, self.spec).data
-            digits, _ = quantize(e, self.spec)
+            digits, bounded, _ = self.fsq.quantize(self.encoder(Tensor(arr)))
         indices = code_to_index(digits, self.spec)
+        prequant = bounded.data
         if single:
             return EncodeResult(indices[0], digits[0], prequant[0])
         return EncodeResult(indices, digits, prequant)
@@ -141,11 +139,15 @@ class SkillAutoencoder:
         single = idx.ndim == 1
         if single:
             idx = idx[None]
-        digits = index_to_code(idx, self.spec)
         with T.no_grad():
-            feats = self.fsq.codes_to_features(digits)
-            out = self.decoder(feats).data
+            out = self.decode_tensor(idx).data
         return out[0] if single else out
+
+    def decode_tensor(self, indices: np.ndarray, rng=None, training=False) -> Tensor:
+        """Decoder output (B, T, action_dim) for flat token ids (B, n); the
+        graph reaches the decoder-side weights, never the token ids."""
+        feats = self.fsq.codes_to_features(index_to_code(indices, self.spec))
+        return self.decoder(feats, rng=rng, training=training)
 
     # -- training -----------------------------------------------------------
 
@@ -155,18 +157,16 @@ class SkillAutoencoder:
         arr = np.asarray(actions, dtype=np.float64)
         target = Tensor(arr)
         h = self.encoder(target, rng=rng, training=training)
-        digits, ste = self.fsq.quantize_features(h)
-        feats = self.fsq.ste_to_features(ste)
-        pred = self.decoder(feats, rng=rng, training=training)
+        digits, _, ste = self.fsq.quantize(h)
+        pred = self.decoder(self.fsq.out_proj(ste), rng=rng, training=training)
         return T.l1_loss(pred, target), code_to_index(digits, self.spec)
 
     def surrogate_loss(self, actions: np.ndarray) -> Tensor:
         """Reconstruction loss with rounding replaced by identity: the exact
         function whose gradient the straight-through estimator computes."""
         target = Tensor(np.asarray(actions, dtype=np.float64))
-        h = self.encoder(target)
-        feats = self.fsq.bounded_features(h)
-        pred = self.decoder(feats)
+        _, bounded, _ = self.fsq.quantize(self.encoder(target))
+        pred = self.decoder(self.fsq.out_proj(bounded))
         return T.l1_loss(pred, target)
 
     def params(self) -> dict[str, Tensor]:

@@ -29,7 +29,6 @@ class Checkpoint:
     params: dict[str, np.ndarray] = field(default_factory=dict)
     meta: dict[str, str] = field(default_factory=dict)
     config_text: str = ""
-    source_sha256: str | None = None  # hash of the file this was loaded from
 
     @classmethod
     def from_tensors(cls, tensors, meta: dict[str, str], config_text: str) -> "Checkpoint":
@@ -72,10 +71,7 @@ class Checkpoint:
     @classmethod
     def load(cls, path) -> "Checkpoint":
         with open(path, "rb") as fh:
-            raw = fh.read()
-        ckpt = cls.from_bytes(raw)
-        ckpt.source_sha256 = hashlib.sha256(raw).hexdigest()
-        return ckpt
+            return cls.from_bytes(fh.read())
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "Checkpoint":

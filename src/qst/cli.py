@@ -59,8 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-stage1", help="train the skill autoencoder")
     common(p)
     p.add_argument("--data", help="dataset path (default <out>/dataset.qstd)")
-    p.add_argument("--encoder-causal", choices=("on", "off"))
-    p.add_argument("--decoder-causal", choices=("on", "off"))
 
     p = sub.add_parser("train-stage2", help="train the skill prior")
     common(p)
@@ -145,10 +143,6 @@ def _dispatch(args, cfg: RunConfig) -> int:
         return 0
 
     if command == "train-stage1":
-        if args.encoder_causal:
-            cfg.encoder_causal = args.encoder_causal == "on"
-        if args.decoder_causal:
-            cfg.decoder_causal = args.decoder_causal == "on"
         ds = read_dataset(_path(args, "data", "dataset.qstd"))
         ckpt = train_stage1(ds, cfg, args.seed, metrics)
         out = os.path.join(args.out, "stage1.ckpt")

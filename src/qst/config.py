@@ -53,6 +53,18 @@ _DOCS = {
     "holdout_demos_per_task": "demos per task reserved for reconstruction eval",
 }
 
+# Smallest value of each integer key; a window cap of 0 means "all windows".
+_MINIMUM = dict.fromkeys(
+    "T action_dim obs_dim encoder_dim encoder_layers encoder_heads decoder_dim decoder_layers "
+    "decoder_heads prior_dim prior_layers prior_heads observation_history max_episode_steps "
+    "batch_size demos_per_task fewshot_demos".split(),
+    1,
+) | dict.fromkeys(
+    "stage1_epochs stage2_epochs finetune_epochs stage1_windows_per_epoch "
+    "stage2_windows_per_epoch holdout_demos_per_task".split(),
+    0,
+)
+
 
 @dataclass
 class RunConfig:
@@ -112,6 +124,22 @@ class RunConfig:
         return int(np.prod(self.fsq_levels))
 
     def validate(self) -> None:
+        for name, least in _MINIMUM.items():
+            value = getattr(self, name)
+            if value < least:
+                raise ConfigurationError(f"{name} must be at least {least}, got {value}")
+        for part in ("encoder", "decoder", "prior"):
+            if getattr(self, f"{part}_dim") % getattr(self, f"{part}_heads"):
+                raise ConfigurationError(f"{part}_heads must divide {part}_dim")
+        for name in ("attention_dropout", "prior_attention_dropout", "prior_embedding_dropout"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must lie in [0, 1)")
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigurationError("learning_rate must be positive and finite")
+        if not 0 <= self.decoder_loss_scale < np.inf:
+            raise ConfigurationError("decoder_loss_scale must be non-negative and finite")
+        if min(self.conv_kernels + self.conv_strides, default=0) < 1:
+            raise ConfigurationError("conv_kernels and conv_strides need positive entries")
         if len(self.conv_kernels) != len(self.conv_strides):
             raise ConfigurationError("conv_kernels and conv_strides must pair up")
         if self.T % self.downsampling != 0:
@@ -123,8 +151,8 @@ class RunConfig:
             raise ConfigurationError(f"unsupported optimizer '{self.optimizer}'")
         if not 1 <= self.execution_horizon <= self.T:
             raise ConfigurationError("execution_horizon must lie in [1, T]")
-        if self.temperature <= 0:
-            raise ConfigurationError("temperature must be positive")
+        if not 0 < self.temperature < np.inf:
+            raise ConfigurationError("temperature must be positive and finite")
         if not 1 <= self.top_k <= self.vocab_size:
             raise ConfigurationError("top_k must lie in [1, vocab size]")
 

@@ -48,12 +48,6 @@ class ControlConfig:
 
 
 @dataclass
-class Plan:
-    actions: np.ndarray  # (T, action_dim)
-    tokens: np.ndarray  # (n,) flat skill token ids
-
-
-@dataclass
 class RolloutResult:
     task: str
     seed: int
@@ -93,16 +87,13 @@ class Policy:
             overrides = {k: v for k, v in stage2_ckpt.params.items() if k.startswith("decoder.")}
             load_params(self.autoencoder.decoder_side_params(), overrides)
 
-    def task_index(self, task_name: str) -> int:
-        return self.prior.task_index(task_name)
-
     def plan_batch(
         self, task_idx: np.ndarray, obs_histories: np.ndarray, rngs, top_k: int, temperature: float
-    ) -> list[Plan]:
-        """Sample one token sequence per row and decode it into a plan."""
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Sample one token sequence per row and decode it into a plan;
+        returns the tokens (B, n) and the plans (B, T, action_dim)."""
         tokens = self.prior.sample(task_idx, obs_histories, top_k, temperature, rngs)
-        actions = self.autoencoder.decode(tokens)
-        return [Plan(actions=actions[i], tokens=tokens[i]) for i in range(len(tokens))]
+        return tokens, self.autoencoder.decode(tokens)
 
 
 def stack_history(observations: list[np.ndarray], history: int) -> np.ndarray:
@@ -162,14 +153,14 @@ def _run_lockstep(policy: Policy, slots: list[_Slot], cfg: ControlConfig) -> lis
     t = 0
     while active and t < cfg.max_episode_steps:
         if t % cfg.execution_horizon == 0:
-            task_idx = np.asarray([policy.task_index(s.env.task.name) for s in active])
+            task_idx = np.asarray([policy.prior.task_index(s.env.task.name) for s in active])
             histories = np.stack([stack_history(s.observations, history) for s in active])
-            plans = policy.plan_batch(
+            tokens, plans = policy.plan_batch(
                 task_idx, histories, [s.rng for s in active], cfg.top_k, cfg.temperature
             )
-            for slot, plan in zip(active, plans):
-                slot.chunk = plan.actions
-                slot.token_log.append([int(x) for x in plan.tokens])
+            for slot, row, plan in zip(active, tokens, plans):
+                slot.chunk = plan
+                slot.token_log.append(row.tolist())
         still = []
         for slot in active:
             action = slot.chunk[t % cfg.execution_horizon]

@@ -83,7 +83,11 @@ def quantize(e: Tensor, spec: FsqSpec) -> tuple[np.ndarray, Tensor]:
     dimension, and the rounded tensor whose gradient is that of ``bound``
     alone (rounding contributes identity).
     """
-    ste = T.round_ste(bound(e, spec))
+    return _round(bound(e, spec), spec)
+
+
+def _round(bounded: Tensor, spec: FsqSpec) -> tuple[np.ndarray, Tensor]:
+    ste = T.round_ste(bounded)
     digits = np.rint(ste.data - spec.grid_min).astype(np.int64)
     return digits, ste
 
@@ -152,17 +156,18 @@ class FsqLayer:
         self.in_proj = Linear(rng, in_dim, spec.dim, std=IN_PROJ_GAIN / np.sqrt(in_dim))
         self.out_proj = Linear(rng, spec.dim, out_dim)
 
-    def quantize_features(self, h: Tensor) -> tuple[np.ndarray, Tensor]:
-        """Project encoder features and quantize; returns (digits, ste)."""
-        return quantize(self.in_proj(h), self.spec)
+    def quantize(self, h: Tensor) -> tuple[np.ndarray, Tensor, Tensor]:
+        """Project encoder features, bound and round them.
 
-    def ste_to_features(self, ste: Tensor) -> Tensor:
-        return self.out_proj(ste)
+        Returns ``(digits, bounded, ste)``: the per-dimension digits, the
+        bounded values the rounding consumed, and the rounded tensor whose
+        gradient is that of ``bounded`` (the straight-through estimator).
+        ``bounded`` is also the rounding-free path that gradient checks
+        differentiate.
+        """
+        bounded = bound(self.in_proj(h), self.spec)
+        digits, ste = _round(bounded, self.spec)
+        return digits, bounded, ste
 
     def codes_to_features(self, digits: np.ndarray) -> Tensor:
         return self.out_proj(Tensor(digits_to_grid(digits, self.spec)))
-
-    def bounded_features(self, h: Tensor) -> Tensor:
-        """Rounding-free path: the exact function the straight-through
-        estimator differentiates, used by gradient checks."""
-        return self.out_proj(bound(self.in_proj(h), self.spec))

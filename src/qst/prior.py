@@ -26,7 +26,6 @@ from .checkpoint import Checkpoint
 from .config import RunConfig
 from .data import TrajectoryDataset, window_arrays
 from .errors import ArgumentError, ConfigurationError, DimensionError, RangeError
-from .fsq import index_to_code
 from .metrics import MetricsWriter
 from .nn import (
     Embedding,
@@ -398,8 +397,7 @@ def finetune_fewshot(
         if not decoder_finetune:
             return loss
         sampled = prior.sample(task_ids[idx], obs[idx], cfg.top_k, cfg.temperature, run_rng)
-        feats = autoencoder.fsq.codes_to_features(index_to_code(sampled, autoencoder.spec))
-        pred = autoencoder.decoder(feats, rng=run_rng, training=True)
+        pred = autoencoder.decode_tensor(sampled, rng=run_rng, training=True)
         return loss + cfg.decoder_loss_scale * T.l1_loss(pred, Tensor(windows[idx]))
 
     train_epochs(

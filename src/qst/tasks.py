@@ -57,11 +57,6 @@ class TaskSpec:
     def start(self) -> np.ndarray:
         return self.branches[0][0]
 
-    @property
-    def degenerate(self) -> bool:
-        """Endpoint coincides with the start, so a stationary agent passes."""
-        return bool(np.linalg.norm(self.goal - self.start) <= self.eps)
-
 
 def _arc(center, radius, theta0, theta1, steps) -> np.ndarray:
     theta = np.linspace(theta0, theta1, steps + 1)
@@ -225,27 +220,6 @@ def generate_suite(
     return TrajectoryDataset(episodes=episodes, seed=seed)
 
 
-# -- success predicate ---------------------------------------------------------
-
-
-def _corridor_violation(path: np.ndarray, template: np.ndarray) -> float:
-    """Max over path points of the distance to the nearest template point."""
-    diff = path[:, None, :] - template[None, :, :]
-    return float(np.sqrt((diff * diff).sum(axis=-1)).min(axis=1).max())
-
-
-def success(path: np.ndarray, task: TaskSpec) -> bool:
-    """A path succeeds if, for some branch, it stays within the corridor and
-    its final point lies within ``eps`` of the template endpoint."""
-    path = np.atleast_2d(np.asarray(path, dtype=np.float64))
-    for branch in task.branches:
-        if np.linalg.norm(path[-1] - branch[-1]) > task.eps:
-            continue
-        if _corridor_violation(path, branch) <= task.delta:
-            return True
-    return False
-
-
 # -- environment ---------------------------------------------------------------
 
 
@@ -290,6 +264,9 @@ class PointEnv:
         return np.concatenate([self.position, self.task.goal])
 
     def succeeded(self) -> bool:
+        """The success predicate: for some branch, every visited point lies
+        within ``delta`` of a template point and the current point within
+        ``eps`` of the template endpoint."""
         for b, branch in enumerate(self.task.branches):
             if self._worst[b] > self.task.delta:
                 continue

@@ -8,6 +8,7 @@ from qst.autoencoder import SkillAutoencoder, train_stage1
 from qst.config import RunConfig
 from qst.data import TrajectoryDataset
 from qst.errors import ArgumentError, DimensionError
+from qst.fsq import bound
 from qst.gradcheck import grad_check_params
 from qst.tensor import Tensor, l1_loss
 
@@ -157,6 +158,17 @@ class TestReconLoss:
         windows = 0.05 * np.random.default_rng(10).normal(size=(2, 8, 2))
         err = grad_check_params(lambda: m.surrogate_loss(windows), m.params())
         assert err < 1e-4
+
+    def test_encode_emits_the_tokens_of_the_loss_path(self):
+        m = SkillAutoencoder(tiny_config(), np.random.default_rng(14))
+        windows = 0.05 * np.random.default_rng(15).normal(size=(5, 8, 2))
+        result = m.encode(windows)
+        _, ids = m.recon_loss(windows, training=False)
+        np.testing.assert_array_equal(result.indices, ids)
+        # prequant is the bounded value the rounding consumed
+        bounded = bound(m.fsq.in_proj(m.encoder(Tensor(windows))), m.spec).data
+        np.testing.assert_array_equal(result.prequant, bounded)
+        np.testing.assert_array_equal(np.rint(bounded) - m.spec.grid_min, result.digits)
 
 
 class TestTrainStage1:

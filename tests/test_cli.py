@@ -206,10 +206,10 @@ class TestAblationFlags:
     def test_encoder_causal_off_is_recorded_in_checkpoint(self, tmp_path):
         out = tmp_path
         cfg_path = out / "tiny.cfg"
-        write_tiny_config(cfg_path)
+        cfg_path.write_text(TINY.snapshot() + "encoder_causal = off\ndecoder_causal = off\n")
         argv = ["--config", str(cfg_path), "--seed", "0", "--out", str(out)]
         assert main(["gen-data", *argv]) == 0
-        assert main(["train-stage1", "--encoder-causal", "off", "--decoder-causal", "off", *argv]) == 0
+        assert main(["train-stage1", *argv]) == 0
         from qst.checkpoint import Checkpoint
 
         ckpt = Checkpoint.load(out / "stage1.ckpt")

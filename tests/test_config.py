@@ -14,6 +14,10 @@ from qst.errors import (
 )
 from qst.tensor import Tensor
 
+from test_autoencoder import tiny_config
+
+SMALL = tiny_config(T=32, conv_kernels=(5, 3, 3), conv_strides=(2, 2, 1))
+
 
 class TestRunConfig:
     def test_defaults_carry_published_values(self):
@@ -85,6 +89,40 @@ class TestRunConfig:
         c = RunConfig(stage1_epochs=99)  # run-length keys are not structural
         assert a.structural_keys() == c.structural_keys()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("batch_size", "0"),
+            ("encoder_heads", "3"),
+            ("encoder_dim", "0"),
+            ("conv_strides", "0,2,1"),
+            ("conv_kernels", ""),
+            ("learning_rate", "nan"),
+            ("stage1_epochs", "-1"),
+            ("T", "0"),
+            ("observation_history", "0"),
+            ("decoder_layers", "0"),
+            ("prior_heads", "0"),
+            ("prior_dim", "-8"),
+            ("attention_dropout", "1.0"),
+            ("prior_embedding_dropout", "-0.1"),
+            ("temperature", "nan"),
+            ("decoder_loss_scale", "inf"),
+        ],
+    )
+    def test_bad_value_refused_at_parse(self, key, value):
+        text = SMALL.snapshot() + f"{key} = {value}\n"
+        with pytest.raises(ConfigurationError, match=key):
+            RunConfig.from_text(text)
+
+    def test_zero_epochs_and_window_caps_are_valid(self):
+        text = SMALL.snapshot() + "".join(
+            f"{key} = 0\n"
+            for key in ("stage1_epochs", "stage2_epochs", "finetune_epochs",
+                        "stage1_windows_per_epoch", "stage2_windows_per_epoch")
+        )
+        assert RunConfig.from_text(text).stage2_windows_per_epoch == 0
+
 
 class TestCheckpoint:
     def _make(self) -> Checkpoint:
@@ -104,7 +142,7 @@ class TestCheckpoint:
         loaded = Checkpoint.load(path)
         assert loaded.to_bytes() == ckpt.to_bytes()
         assert loaded.meta == ckpt.meta
-        assert loaded.source_sha256 == ckpt.content_sha256()
+        assert loaded.content_sha256() == ckpt.content_sha256()
         for k in ckpt.params:
             np.testing.assert_array_equal(loaded.params[k], ckpt.params[k])
 

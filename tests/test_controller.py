@@ -11,7 +11,6 @@ from qst.checkpoint import Checkpoint
 from qst.config import RunConfig
 from qst.controller import (
     ControlConfig,
-    Plan,
     Policy,
     evaluate_suite,
     rollout,
@@ -71,7 +70,7 @@ class TestPolicy:
     def test_greedy_sampling_is_deterministic_across_calls(self, pipeline):
         cfg, stage1, stage2, policy = pipeline
         obs = np.zeros((1, 4))
-        idx = np.array([policy.task_index("line-across")])
+        idx = np.array([policy.prior.task_index("line-across")])
         a = policy.prior.sample(idx, obs[None], 1, 1.0, np.random.default_rng(0))
         b = policy.prior.sample(idx, obs[None], 1, 1.0, np.random.default_rng(123))
         np.testing.assert_array_equal(a, b)
@@ -167,9 +166,9 @@ class TestRollout:
         original = Policy.plan_batch
 
         def spy(self, *args):
-            plans = original(self, *args)
-            seen_plans.append(plans[0].actions.copy())
-            return plans
+            tokens, plans = original(self, *args)
+            seen_plans.append(plans[0].copy())
+            return tokens, plans
 
         monkeypatch.setattr(Policy, "plan_batch", spy)
         control = ControlConfig.from_run_config(cfg)
@@ -223,7 +222,7 @@ class TestRollout:
                 actions = np.zeros((cfg.T, 2))
                 remaining = template[t + 1 : t + 1 + cfg.T] - template[t : t + cfg.T]
                 actions[: len(remaining)] = remaining
-                return [Plan(actions=actions, tokens=np.zeros(8, dtype=int))]
+                return np.zeros((1, 8), dtype=int), actions[None]
 
         result = rollout(env, Scripted(), control, np.random.default_rng(9))
         assert result.success

@@ -125,24 +125,24 @@ class TestFsqLayer:
     def test_projection_shapes(self):
         rng = np.random.default_rng(3)
         layer = fsq.FsqLayer(rng, SPEC, in_dim=16, out_dim=12)
-        digits, ste = layer.quantize_features(Tensor(rng.normal(size=(5, 16))))
-        assert digits.shape == (5, 4)
-        assert layer.ste_to_features(ste).shape == (5, 12)
+        digits, bounded, ste = layer.quantize(Tensor(rng.normal(size=(5, 16))))
+        assert digits.shape == bounded.shape == ste.shape == (5, 4)
+        assert layer.out_proj(ste).shape == (5, 12)
 
     def test_gradient_flows_through_straight_through_path(self):
         # rounding replaced by identity: exactly the function STE differentiates
         rng = np.random.default_rng(4)
         layer = fsq.FsqLayer(rng, SPEC, in_dim=6, out_dim=6)
         x = rng.normal(size=(3, 6))
-        err = grad_check(lambda t: (layer.bounded_features(t) ** 2.0).mean(), x)
+        err = grad_check(lambda t: (layer.out_proj(layer.quantize(t)[1]) ** 2.0).mean(), x)
         assert err < 1e-4
 
     def test_codes_to_features_matches_ste_features(self):
         rng = np.random.default_rng(5)
         layer = fsq.FsqLayer(rng, SPEC, in_dim=6, out_dim=6)
-        digits, ste = layer.quantize_features(Tensor(rng.normal(size=(4, 6))))
+        digits, _, ste = layer.quantize(Tensor(rng.normal(size=(4, 6))))
         np.testing.assert_allclose(
             layer.codes_to_features(digits).data,
-            layer.ste_to_features(ste).data,
+            layer.out_proj(ste).data,
             atol=1e-12,
         )

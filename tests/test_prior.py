@@ -475,7 +475,6 @@ class TestFinetune:
         from qst import tensor as T
         from qst.nn import set_requires_grad
         from qst.tensor import Tensor
-        from qst.fsq import index_to_code
 
         cfg, ds, stage1, stage2 = tiny_pipeline
         autoencoder = SkillAutoencoder.from_checkpoint(stage1)
@@ -485,8 +484,7 @@ class TestFinetune:
         obs = rng.normal(size=(2, 1, 4))
         task_idx = np.zeros(2, dtype=int)
         sampled = prior.sample(task_idx, obs, cfg.top_k, 1.0, rng)
-        feats = autoencoder.fsq.codes_to_features(index_to_code(sampled, autoencoder.spec))
-        pred = autoencoder.decoder(feats)
+        pred = autoencoder.decode_tensor(sampled)
         loss = T.l1_loss(pred, Tensor(rng.normal(size=pred.shape)))
         for p in prior.params().values():
             p.grad = None
