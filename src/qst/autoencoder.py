@@ -38,6 +38,7 @@ from .tensor import Tensor
 
 ACTION_HEAD_STD = 0.003  # keeps untrained outputs near action scale
 ACTION_INPUT_SCALE = 16.0  # lifts ~0.05-scale actions to unit scale (exact in binary)
+ENCODE_BATCH = 256  # windows per forward pass when a whole window array is encoded
 
 
 class SkillEncoder:
@@ -232,12 +233,12 @@ def train_stage1(
     return model.to_checkpoint()
 
 
-def mean_reconstruction_error(model: SkillAutoencoder, windows: np.ndarray, batch: int = 256) -> float:
+def mean_reconstruction_error(model: SkillAutoencoder, windows: np.ndarray) -> float:
     """Held-out evaluation: mean absolute error of decode(encode(w))."""
     total = 0.0
     count = 0
-    for lo in range(0, windows.shape[0], batch):
-        chunk = windows[lo : lo + batch]
+    for lo in range(0, windows.shape[0], ENCODE_BATCH):
+        chunk = windows[lo : lo + ENCODE_BATCH]
         recon = model.decode(model.encode(chunk).indices)
         total += float(np.abs(recon - chunk).sum())
         count += chunk.size

@@ -24,7 +24,7 @@ from .config import RunConfig
 from .controller import ControlConfig, Policy, evaluate_suite
 from .data import read_dataset, window_arrays, write_dataset
 from .errors import ConfigurationError, QstError
-from .fsq import digits_to_grid, utilization
+from .fsq import digits_to_grid, index_to_code, utilization
 from .gradcheck import grad_check, grad_check_params
 from .metrics import MetricsWriter
 from .nn import LayerNorm
@@ -260,24 +260,17 @@ def export_embeddings(stage1_ckpt: Checkpoint, dataset, path) -> int:
         )
     windows, _, _, starts = window_arrays(dataset, model.cfg.T)
     n, d = model.cfg.n_tokens, model.spec.dim
+    digits = index_to_code(encode_targets(model, windows), model.spec)
+    grids = digits_to_grid(digits, model.spec).reshape(len(windows), n * d)
     header = ["task", "episode", "timestep"] + [
         f"z{i}_{j}" for i in range(n) for j in range(d)
     ]
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        batch = 512
-        for lo in range(0, windows.shape[0], batch):
-            chunk = windows[lo : lo + batch]
-            result = model.encode(chunk)
-            grids = digits_to_grid(result.digits, model.spec).reshape(len(chunk), n * d)
-            for row in range(len(chunk)):
-                episode, timestep = starts[lo + row]
-                task = dataset.episodes[episode].task
-                writer.writerow(
-                    [task, int(episode), int(timestep)]
-                    + [f"{v:.1f}" for v in grids[row]]
-                )
+        for (episode, timestep), grid in zip(starts, grids):
+            task = dataset.episodes[episode].task
+            writer.writerow([task, int(episode), int(timestep)] + [f"{v:.1f}" for v in grid])
     return windows.shape[0]
 
 

@@ -7,104 +7,73 @@ effective config is embedded in every checkpoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import ConfigurationError
+from .fsq import FsqSpec
 
-_DOCS = {
-    "T": "action-sequence (plan) length in steps",
-    "action_dim": "environment action dimensionality",
-    "obs_dim": "proprioceptive observation dimensionality (position + goal)",
-    "fsq_levels": "per-dimension quantizer level counts",
-    "encoder_dim": "encoder model width",
-    "encoder_layers": "encoder self-attention blocks",
-    "encoder_heads": "encoder attention heads",
-    "conv_kernels": "encoder conv kernel sizes",
-    "conv_strides": "encoder conv strides; their product is the downsampling factor",
-    "encoder_causal": "causal encoder convolutions/attention (off = ablation)",
-    "decoder_dim": "decoder model width",
-    "decoder_layers": "decoder blocks (self-attention + cross-attention + FFN)",
-    "decoder_heads": "decoder attention heads",
-    "decoder_causal": "causal decoder query self-attention (off = ablation)",
-    "attention_dropout": "stage-1 attention dropout",
-    "prior_dim": "skill prior model width",
-    "prior_layers": "skill prior transformer blocks",
-    "prior_heads": "skill prior attention heads",
-    "prior_attention_dropout": "skill prior attention dropout",
-    "prior_embedding_dropout": "skill prior embedding dropout",
-    "observation_history": "observation tokens per context",
-    "top_k": "sampler keeps the k most likely tokens",
-    "temperature": "sampler temperature",
-    "decoder_loss_scale": "weight of the decoder loss during few-shot finetuning",
-    "execution_horizon": "actions executed per replan",
-    "max_episode_steps": "environment step budget per evaluation episode",
-    "optimizer": "only 'adam' is implemented",
-    "learning_rate": "Adam learning rate",
-    "batch_size": "windows per optimization step",
-    "stage1_epochs": "autoencoder training epochs",
-    "stage1_windows_per_epoch": "windows sampled per stage-1 epoch (0 = all)",
-    "stage2_epochs": "skill-prior training epochs",
-    "stage2_windows_per_epoch": "windows sampled per stage-2 epoch (0 = all)",
-    "finetune_epochs": "few-shot finetuning epochs",
-    "demos_per_task": "pretraining demonstrations generated per task",
-    "fewshot_demos": "demonstrations for the held-out task",
-    "holdout_demos_per_task": "demos per task reserved for reconstruction eval",
-}
 
-# Smallest value of each integer key; a window cap of 0 means "all windows".
-_MINIMUM = dict.fromkeys(
-    "T action_dim obs_dim encoder_dim encoder_layers encoder_heads decoder_dim decoder_layers "
-    "decoder_heads prior_dim prior_layers prior_heads observation_history max_episode_steps "
-    "batch_size demos_per_task fewshot_demos".split(),
-    1,
-) | dict.fromkeys(
-    "stage1_epochs stage2_epochs finetune_epochs stage1_windows_per_epoch "
-    "stage2_windows_per_epoch holdout_demos_per_task".split(),
-    0,
-)
+def _key(default, doc: str, least: int | None = None, structural: bool = False):
+    """One config key: its default, its doc line, its least value (None when
+    it has none) and whether it fixes the shape of a model."""
+    return field(default=default, metadata={"doc": doc, "least": least, "structural": structural})
 
 
 @dataclass
 class RunConfig:
-    T: int = 32
-    action_dim: int = 2
-    obs_dim: int = 4
-    fsq_levels: tuple[int, ...] = (8, 5, 5, 5)
-    encoder_dim: int = 256
-    encoder_layers: int = 2
-    encoder_heads: int = 4
-    conv_kernels: tuple[int, ...] = (5, 3, 3)
-    conv_strides: tuple[int, ...] = (2, 2, 1)
-    encoder_causal: bool = True
-    decoder_dim: int = 256
-    decoder_layers: int = 4
-    decoder_heads: int = 4
-    decoder_causal: bool = True
-    attention_dropout: float = 0.1
-    prior_dim: int = 384
-    prior_layers: int = 6
-    prior_heads: int = 6
-    prior_attention_dropout: float = 0.1
-    prior_embedding_dropout: float = 0.1
-    observation_history: int = 1
-    top_k: int = 5
-    temperature: float = 1.0
-    decoder_loss_scale: float = 10.0
-    execution_horizon: int = 8
-    max_episode_steps: int = 96
-    optimizer: str = "adam"
-    learning_rate: float = 1e-4
-    batch_size: int = 64
-    stage1_epochs: int = 8
-    stage1_windows_per_epoch: int = 4096
-    stage2_epochs: int = 8
-    stage2_windows_per_epoch: int = 8192
-    finetune_epochs: int = 40
-    demos_per_task: int = 50
-    fewshot_demos: int = 5
-    holdout_demos_per_task: int = 5
+    T: int = _key(32, "action-sequence (plan) length in steps", least=1, structural=True)
+    action_dim: int = _key(2, "environment action dimensionality", least=1, structural=True)
+    obs_dim: int = _key(
+        4, "proprioceptive observation dimensionality (position + goal)", least=1, structural=True
+    )
+    fsq_levels: tuple[int, ...] = _key(
+        (8, 5, 5, 5), "per-dimension quantizer level counts", structural=True
+    )
+    encoder_dim: int = _key(256, "encoder model width", least=1, structural=True)
+    encoder_layers: int = _key(2, "encoder self-attention blocks", least=1, structural=True)
+    encoder_heads: int = _key(4, "encoder attention heads", least=1, structural=True)
+    conv_kernels: tuple[int, ...] = _key((5, 3, 3), "encoder conv kernel sizes", structural=True)
+    conv_strides: tuple[int, ...] = _key(
+        (2, 2, 1), "encoder conv strides; their product is the downsampling factor", structural=True
+    )
+    encoder_causal: bool = _key(True, "causal encoder convolutions/attention (off = ablation)")
+    decoder_dim: int = _key(256, "decoder model width", least=1, structural=True)
+    decoder_layers: int = _key(
+        4, "decoder blocks (self-attention + cross-attention + FFN)", least=1, structural=True
+    )
+    decoder_heads: int = _key(4, "decoder attention heads", least=1, structural=True)
+    decoder_causal: bool = _key(True, "causal decoder query self-attention (off = ablation)")
+    attention_dropout: float = _key(0.1, "stage-1 attention dropout")
+    prior_dim: int = _key(384, "skill prior model width", least=1, structural=True)
+    prior_layers: int = _key(6, "skill prior transformer blocks", least=1, structural=True)
+    prior_heads: int = _key(6, "skill prior attention heads", least=1, structural=True)
+    prior_attention_dropout: float = _key(0.1, "skill prior attention dropout")
+    prior_embedding_dropout: float = _key(0.1, "skill prior embedding dropout")
+    observation_history: int = _key(1, "observation tokens per context", least=1, structural=True)
+    top_k: int = _key(5, "sampler keeps the k most likely tokens")
+    temperature: float = _key(1.0, "sampler temperature")
+    decoder_loss_scale: float = _key(10.0, "weight of the decoder loss during few-shot finetuning")
+    execution_horizon: int = _key(8, "actions executed per replan")
+    max_episode_steps: int = _key(96, "environment step budget per evaluation episode", least=1)
+    optimizer: str = _key("adam", "only 'adam' is implemented")
+    learning_rate: float = _key(1e-4, "Adam learning rate")
+    batch_size: int = _key(64, "windows per optimization step", least=1)
+    stage1_epochs: int = _key(8, "autoencoder training epochs", least=0)
+    stage1_windows_per_epoch: int = _key(
+        4096, "windows sampled per stage-1 epoch (0 = all)", least=0
+    )
+    stage2_epochs: int = _key(8, "skill-prior training epochs", least=0)
+    stage2_windows_per_epoch: int = _key(
+        8192, "windows sampled per stage-2 epoch (0 = all)", least=0
+    )
+    finetune_epochs: int = _key(40, "few-shot finetuning epochs", least=0)
+    demos_per_task: int = _key(50, "pretraining demonstrations generated per task", least=1)
+    fewshot_demos: int = _key(5, "demonstrations for the held-out task", least=1)
+    holdout_demos_per_task: int = _key(
+        5, "demos per task reserved for reconstruction eval", least=0
+    )
 
     def __post_init__(self):
         self.validate()
@@ -124,10 +93,10 @@ class RunConfig:
         return int(np.prod(self.fsq_levels))
 
     def validate(self) -> None:
-        for name, least in _MINIMUM.items():
-            value = getattr(self, name)
-            if value < least:
-                raise ConfigurationError(f"{name} must be at least {least}, got {value}")
+        for f in fields(self):
+            least, value = f.metadata["least"], getattr(self, f.name)
+            if least is not None and value < least:
+                raise ConfigurationError(f"{f.name} must be at least {least}, got {value}")
         for part in ("encoder", "decoder", "prior"):
             if getattr(self, f"{part}_dim") % getattr(self, f"{part}_heads"):
                 raise ConfigurationError(f"{part}_heads must divide {part}_dim")
@@ -153,6 +122,10 @@ class RunConfig:
             raise ConfigurationError("execution_horizon must lie in [1, T]")
         if not 0 < self.temperature < np.inf:
             raise ConfigurationError("temperature must be positive and finite")
+        try:
+            FsqSpec(self.fsq_levels)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"fsq_levels: {exc}") from None
         if not 1 <= self.top_k <= self.vocab_size:
             raise ConfigurationError("top_k must lie in [1, vocab size]")
 
@@ -192,32 +165,18 @@ class RunConfig:
         default = cls()
         lines = []
         for f in fields(cls):
-            lines.append(f"# {_DOCS[f.name]}")
+            lines.append(f"# {f.metadata['doc']}")
             lines.append(f"{f.name} = {_format_value(getattr(default, f.name))}")
         return "\n".join(lines) + "\n"
 
     def structural_keys(self) -> dict[str, str]:
         """The keys that must match between a checkpoint and a config for the
         two to describe the same model."""
-        names = (
-            "T",
-            "action_dim",
-            "obs_dim",
-            "fsq_levels",
-            "encoder_dim",
-            "encoder_layers",
-            "encoder_heads",
-            "conv_kernels",
-            "conv_strides",
-            "decoder_dim",
-            "decoder_layers",
-            "decoder_heads",
-            "prior_dim",
-            "prior_layers",
-            "prior_heads",
-            "observation_history",
-        )
-        return {n: _format_value(getattr(self, n)) for n in names}
+        return {
+            f.name: _format_value(getattr(self, f.name))
+            for f in fields(self)
+            if f.metadata["structural"]
+        }
 
 
 def _format_value(value) -> str:
@@ -228,8 +187,8 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _parse_value(field, text: str, lineno: int):
-    kind = field.type
+def _parse_value(key, text: str, lineno: int):
+    kind = key.type
     try:
         if kind == "bool":
             lowered = text.lower()
@@ -246,4 +205,4 @@ def _parse_value(field, text: str, lineno: int):
             return tuple(int(part) for part in text.split(",") if part.strip())
         return text
     except ValueError as exc:
-        raise ConfigurationError(f"line {lineno}: bad value for '{field.name}': {exc}") from None
+        raise ConfigurationError(f"line {lineno}: bad value for '{key.name}': {exc}") from None

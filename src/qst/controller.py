@@ -20,7 +20,7 @@ import numpy as np
 from .autoencoder import SkillAutoencoder
 from .checkpoint import Checkpoint
 from .config import RunConfig
-from .errors import ConfigurationError
+from .errors import ArgumentError, ConfigurationError
 from .nn import load_params
 from .prior import SkillPrior, check_stage1_link
 from .tasks import PointEnv, get_task
@@ -196,8 +196,13 @@ def evaluate_suite(
 
     Episodes of one seed run in lockstep so model passes are batched; each
     episode owns its environment and its sampler stream derived from
-    (seed, task, episode).
+    (seed, task, episode).  At least one episode and one seed are needed,
+    so that every task's success rate averages episodes that ran.
     """
+    if episodes < 1:
+        raise ArgumentError(f"episodes must be at least 1, got {episodes}")
+    if not seeds:
+        raise ArgumentError("no evaluation seeds given")
     results: list[RolloutResult] = []
     for seed in seeds:
         slots = []
@@ -218,7 +223,7 @@ def summarize(results: list[RolloutResult], task_names, seeds) -> dict:
     for r in results:
         hits.setdefault((r.task, r.seed), []).append(r.success)
     per_seed = {
-        name: [float(np.mean(hits[name, seed])) if (name, seed) in hits else 0.0 for seed in seeds]
+        name: [float(np.mean(hits[name, seed])) for seed in seeds]
         for name in task_names
     }
     per_seed["overall"] = [

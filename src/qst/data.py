@@ -50,7 +50,6 @@ class Episode:
 class TrajectoryDataset:
     episodes: list[Episode] = field(default_factory=list)
     seed: int = 0
-    version: int = FORMAT_VERSION
 
     def __len__(self) -> int:
         return len(self.episodes)
@@ -157,7 +156,7 @@ def split_header(raw: bytes, what: str) -> tuple[list[str], bytes]:
 
 
 def write_dataset(dataset: TrajectoryDataset, path) -> None:
-    lines = [f"{MAGIC_PREFIX}{dataset.version}"]
+    lines = [f"{MAGIC_PREFIX}{FORMAT_VERSION}"]
     lines.append(f"seed {dataset.seed}")
     lines.append(f"episodes {len(dataset.episodes)}")
     obs_dim = dataset.obs_dim if dataset.episodes else 0
@@ -232,4 +231,4 @@ def read_dataset(path) -> TrajectoryDataset:
                 actions=act.astype(np.float64).reshape(length, act_dim),
             )
         )
-    return TrajectoryDataset(episodes=episodes, seed=fields["seed"], version=version)
+    return TrajectoryDataset(episodes=episodes, seed=fields["seed"])

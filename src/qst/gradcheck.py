@@ -9,59 +9,33 @@ import numpy as np
 from .errors import NumericalError
 from .tensor import Tensor
 
+EPS = 1e-5  # central-difference step
 
-def grad_check(
-    scalar_function: Callable[[Tensor], Tensor],
-    point: np.ndarray | Tensor,
-    eps: float = 1e-5,
-) -> float:
+
+def grad_check(scalar_function: Callable[[Tensor], Tensor], point: np.ndarray | Tensor) -> float:
     """Compare the reverse-mode gradient against central finite differences.
 
     ``scalar_function`` maps one tensor to a scalar tensor and must be
     differentiable at ``point`` (keep sample points away from rounding
     thresholds and mask boundaries).  Returns the maximum over components of
-    ``|g_ad - g_fd| / max(1, |g_fd|)``.
+    ``|g_ad - g_fd| / max(1, |g_fd|)``; ``point`` itself is not modified.
     """
     base = point.data if isinstance(point, Tensor) else np.asarray(point, dtype=np.float64)
     x = Tensor(base.copy(), requires_grad=True)
-    out = scalar_function(x)
-    if out.size != 1:
-        raise NumericalError("grad_check needs a scalar-valued function")
-    if not np.isfinite(out.data).all():
-        raise NumericalError("function value is not finite at the given point")
-    out.backward()
-    g_ad = x.grad if x.grad is not None else np.zeros_like(base)
-
-    flat = base.reshape(-1)
-    g_fd = np.zeros_like(flat)
-    for i in range(flat.size):
-        probe = flat.copy()
-        probe[i] = flat[i] + eps
-        hi = scalar_function(Tensor(probe.reshape(base.shape))).item()
-        probe[i] = flat[i] - eps
-        lo = scalar_function(Tensor(probe.reshape(base.shape))).item()
-        if not (np.isfinite(hi) and np.isfinite(lo)):
-            raise NumericalError(f"non-finite function value while probing component {i}")
-        g_fd[i] = (hi - lo) / (2.0 * eps)
-    g_fd = g_fd.reshape(base.shape)
-
-    denom = np.maximum(1.0, np.abs(g_fd))
-    return float(np.max(np.abs(g_ad - g_fd) / denom))
+    return grad_check_params(lambda: scalar_function(x), {"x": x})
 
 
-def grad_check_params(
-    loss_fn: Callable[[], Tensor],
-    params: dict[str, Tensor],
-    eps: float = 1e-5,
-) -> float:
+def grad_check_params(loss_fn: Callable[[], Tensor], params: dict[str, Tensor]) -> float:
     """grad_check over every component of a named parameter dict.
 
-    ``loss_fn`` closes over ``params`` and rebuilds the loss from their current
-    data, so finite differences can perturb parameters in place.
+    ``loss_fn`` closes over ``params`` and rebuilds the scalar loss from their
+    current data, so finite differences can perturb parameters in place.
     """
     for p in params.values():
         p.grad = None
     loss = loss_fn()
+    if loss.size != 1:
+        raise NumericalError("grad_check needs a scalar-valued function")
     if not np.isfinite(loss.data).all():
         raise NumericalError("loss is not finite at the given parameters")
     loss.backward()
@@ -72,14 +46,14 @@ def grad_check_params(
         flat = p.data.reshape(-1)
         for i in range(flat.size):
             original = flat[i]
-            flat[i] = original + eps
+            flat[i] = original + EPS
             hi = loss_fn().item()
-            flat[i] = original - eps
+            flat[i] = original - EPS
             lo = loss_fn().item()
             flat[i] = original
             if not (np.isfinite(hi) and np.isfinite(lo)):
                 raise NumericalError(f"non-finite loss while probing {name}[{i}]")
-            g_fd = (hi - lo) / (2.0 * eps)
+            g_fd = (hi - lo) / (2.0 * EPS)
             err = abs(g_ad.reshape(-1)[i] - g_fd) / max(1.0, abs(g_fd))
             worst = max(worst, err)
     return worst

@@ -85,8 +85,8 @@ class LayerNorm:
 
 
 class Embedding:
-    def __init__(self, rng: np.random.Generator | None, rows: int, dim: int, std: float = 0.02):
-        self.table = normal_param(rng, std, (rows, dim))
+    def __init__(self, rng: np.random.Generator | None, rows: int, dim: int):
+        self.table = normal_param(rng, 0.02, (rows, dim))
 
     def __call__(self, indices: np.ndarray) -> Tensor:
         return T.embedding(self.table, indices)
@@ -142,10 +142,9 @@ class MultiHeadAttention:
 
 
 class FeedForward:
-    def __init__(self, rng: np.random.Generator | None, dim: int, hidden: int | None = None):
-        hidden = hidden or 4 * dim
-        self.fc1 = Linear(rng, dim, hidden)
-        self.fc2 = Linear(rng, hidden, dim)
+    def __init__(self, rng: np.random.Generator | None, dim: int):
+        self.fc1 = Linear(rng, dim, 4 * dim)
+        self.fc2 = Linear(rng, 4 * dim, dim)
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc2(T.relu(self.fc1(x)))

@@ -16,6 +16,10 @@ from .tensor import Tensor
 # elements per update block: the block's slices of the parameter, gradient,
 # moments and scratch buffer (256 KB each) stay in cache across its operations
 BLOCK = 1 << 15
+# Adam's moment decay rates and denominator offset (Kingma & Ba's defaults)
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 class Adam:
@@ -33,19 +37,9 @@ class Adam:
     parameters it produces are bitwise the same.
     """
 
-    def __init__(
-        self,
-        params: dict[str, Tensor],
-        lr: float = 1e-4,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: dict[str, Tensor], lr: float = 1e-4):
         self.params = dict(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = {name: np.zeros(p.data.shape) for name, p in self.params.items()}
         self.v = {name: np.zeros(p.data.shape) for name, p in self.params.items()}
@@ -68,8 +62,8 @@ class Adam:
                 raise ArgumentError(f"parameter '{name}' is not a C-contiguous array")
         self.step_count += 1
         t = self.step_count
-        correction1 = 1.0 - self.beta1**t
-        correction2 = 1.0 - self.beta2**t
+        correction1 = 1.0 - BETA1**t
+        correction2 = 1.0 - BETA2**t
         for name, p in self.params.items():
             if p.grad is None:
                 continue
@@ -82,14 +76,14 @@ class Adam:
                 mb = m[lo : lo + BLOCK]
                 vb = v[lo : lo + BLOCK]
                 s = self._scratch[: g.size]
-                mb *= self.beta1
-                mb += np.multiply(g, 1.0 - self.beta1, out=s)
-                vb *= self.beta2
+                mb *= BETA1
+                mb += np.multiply(g, 1.0 - BETA1, out=s)
+                vb *= BETA2
                 np.multiply(g, g, out=s)
-                vb += np.multiply(s, 1.0 - self.beta2, out=s)
+                vb += np.multiply(s, 1.0 - BETA2, out=s)
                 np.divide(vb, correction2, out=s)
                 np.sqrt(s, out=s)
-                s += self.eps
+                s += EPS
                 np.divide(mb, s, out=s)
                 s *= self.lr / correction1
                 data[lo : lo + BLOCK] -= s

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .autoencoder import SkillAutoencoder
+from .autoencoder import ENCODE_BATCH, SkillAutoencoder
 from .checkpoint import Checkpoint
 from .config import RunConfig
 from .data import TrajectoryDataset, window_arrays
@@ -308,13 +308,11 @@ def check_stage1_link(stage1_ckpt: Checkpoint, stage2_ckpt: Checkpoint) -> str:
     return sha256
 
 
-def encode_targets(
-    autoencoder: SkillAutoencoder, windows: np.ndarray, batch: int = 256
-) -> np.ndarray:
+def encode_targets(autoencoder: SkillAutoencoder, windows: np.ndarray) -> np.ndarray:
     """Tokenize every window with the frozen stage-1 encoder."""
     out = []
-    for lo in range(0, windows.shape[0], batch):
-        out.append(autoencoder.encode(windows[lo : lo + batch]).indices)
+    for lo in range(0, windows.shape[0], ENCODE_BATCH):
+        out.append(autoencoder.encode(windows[lo : lo + ENCODE_BATCH]).indices)
     return np.concatenate(out, axis=0)
 
 

@@ -32,7 +32,7 @@ PREFIX_GROUP = ("circle-ccw", "s-curve", "figure-eight")
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """One benchmark task: template branch(es), tolerances, and demo count."""
+    """One benchmark task: template branch(es) and tolerances."""
 
     name: str
     ordinal: int
@@ -40,7 +40,6 @@ class TaskSpec:
     goal: np.ndarray  # template endpoint, shared by all branches
     eps: float = 0.05  # endpoint tolerance
     delta: float = 0.1  # corridor tolerance
-    demos: int = 50
 
     def __post_init__(self):
         for branch in self.branches:
@@ -88,9 +87,9 @@ def _with_hold(curve: np.ndarray, hold: int = HOLD_STEPS) -> np.ndarray:
     return np.concatenate([curve, tail], axis=0)
 
 
-def _build_task(name, ordinal, curves, demos=50) -> TaskSpec:
+def _build_task(name, ordinal, curves) -> TaskSpec:
     branches = tuple(_with_hold(c) for c in curves)
-    return TaskSpec(name=name, ordinal=ordinal, branches=branches, goal=curves[0][-1].copy(), demos=demos)
+    return TaskSpec(name=name, ordinal=ordinal, branches=branches, goal=curves[0][-1].copy())
 
 
 def _registry() -> dict[str, TaskSpec]:
@@ -134,7 +133,7 @@ def _registry() -> dict[str, TaskSpec]:
         _build_task("line-across", 5, [line]),
         _build_task("zigzag", 6, [zigzag]),
         _build_task("spiral", 7, [spiral]),
-        _build_task("reverse-s", 8, [reverse_s], demos=5),
+        _build_task("reverse-s", 8, [reverse_s]),
     ]
     return {spec.name: spec for spec in specs}
 
@@ -201,11 +200,11 @@ def _generate_demo(task: TaskSpec, seed: int, demo: int) -> Episode:
 def generate_suite(
     seed: int,
     task_names=PRETRAIN_TASKS,
-    demos_per_task: int | None = None,
+    demos_per_task: int = 50,
 ) -> TrajectoryDataset:
     """Build the multitask demonstration dataset for the given seed.
 
-    Generation is a pure function of (seed, task list, demo counts).  Demos of
+    Generation is a pure function of (seed, task list, demos per task).  Demos of
     prefix-group tasks with equal demo index share their first
     ``PREFIX_SHARE_STEPS`` actions bitwise.
     """
@@ -214,8 +213,7 @@ def generate_suite(
     episodes = []
     for name in task_names:
         task = get_task(name)
-        count = demos_per_task if demos_per_task is not None else task.demos
-        for demo in range(count):
+        for demo in range(demos_per_task):
             episodes.append(_generate_demo(task, seed, demo))
     return TrajectoryDataset(episodes=episodes, seed=seed)
 
@@ -232,10 +230,7 @@ class PointEnv:
 
     def __init__(self, task: TaskSpec):
         self.task = task
-        self.position = task.start.copy()
-        self.step_count = 0
-        self._worst = np.zeros(len(task.branches))
-        self._update_worst()
+        self.reset()
 
     def reset(self, rng: np.random.Generator | None = None) -> np.ndarray:
         start = self.task.start.copy()

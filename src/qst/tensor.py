@@ -441,12 +441,12 @@ def embedding(table: Tensor, indices: np.ndarray) -> Tensor:
     return _op(table.data[idx], (table,), backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then scale and shift."""
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize over the last axis (variance offset 1e-5), then scale and shift."""
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     normed = centered * inv
     gd = gain.data
     out = normed * gd + bias.data

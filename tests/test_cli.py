@@ -135,6 +135,16 @@ class TestPipeline:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("flag, value", [("--num-seeds", "0"), ("--episodes", "-3")])
+    def test_eval_without_episodes_is_refused(self, run_dir, capsys, flag, value):
+        # a success rate over no episodes would read NaN or 0
+        out, cfg_path = run_dir
+        before = (out / "metrics.jsonl").read_text()
+        code = main(["eval", "--config", str(cfg_path), "--out", str(out), flag, value])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert (out / "metrics.jsonl").read_text() == before
+
     def test_eval_on_untrained_prior_has_low_success(self, run_dir, capsys):
         out, cfg_path = run_dir
         code = main(

@@ -406,13 +406,13 @@ class TestAdam:
         }
 
     def test_blocked_step_is_bitwise_the_whole_array_update(self):
-        lr, beta1, beta2, eps = 1e-3, 0.9, 0.999, 1e-8
+        lr, beta1, beta2, eps = 1e-3, optim.BETA1, optim.BETA2, optim.EPS
         rng = np.random.default_rng(27)
         params = self._blocked_params(rng)
         ref = {name: p.data.copy() for name, p in params.items()}
         m = {name: np.zeros_like(arr) for name, arr in ref.items()}
         v = {name: np.zeros_like(arr) for name, arr in ref.items()}
-        opt = Adam(params, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+        opt = Adam(params, lr=lr)
         for t in range(1, 5):
             grads = {name: rng.normal(size=p.shape) for name, p in params.items() if name != "unused"}
             for name, g in grads.items():
