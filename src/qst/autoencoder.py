@@ -122,7 +122,7 @@ class SkillAutoencoder:
 
     def encode(self, actions: np.ndarray) -> EncodeResult:
         """Tokenize action windows (no dropout, no graph)."""
-        arr = np.asarray(actions, dtype=np.float64)
+        arr = np.asarray(actions)
         single = arr.ndim == 2
         if single:
             arr = arr[None]
@@ -155,8 +155,7 @@ class SkillAutoencoder:
     def recon_loss(self, actions: np.ndarray, rng=None, training=False):
         """Mean elementwise absolute reconstruction error; returns the loss
         tensor and the emitted token ids."""
-        arr = np.asarray(actions, dtype=np.float64)
-        target = Tensor(arr)
+        target = Tensor(actions)
         h = self.encoder(target, rng=rng, training=training)
         digits, _, ste = self.fsq.quantize(h)
         pred = self.decoder(self.fsq.out_proj(ste), rng=rng, training=training)
@@ -165,7 +164,7 @@ class SkillAutoencoder:
     def surrogate_loss(self, actions: np.ndarray) -> Tensor:
         """Reconstruction loss with rounding replaced by identity: the exact
         function whose gradient the straight-through estimator computes."""
-        target = Tensor(np.asarray(actions, dtype=np.float64))
+        target = Tensor(actions)
         _, bounded, _ = self.fsq.quantize(self.encoder(target))
         pred = self.decoder(self.fsq.out_proj(bounded))
         return T.l1_loss(pred, target)

@@ -5,6 +5,7 @@ collects them into the flat name->Tensor dict that checkpoints and
 optimizers work on.  Forward passes thread the run's random generator and a
 ``training`` flag for dropout.
 
+Parameters are float32 (``tensor.DTYPE``), the dtype checkpoints store.
 Every constructor that draws weights takes ``rng=None`` to leave them
 uninitialised instead (``np.empty``): model loading builds its module tree that
 way and lets :func:`load_params`, which refuses a missing or extra name,
@@ -42,7 +43,7 @@ def named_params(module, prefix: str = "") -> dict[str, Tensor]:
 def normal_param(rng: np.random.Generator | None, std: float, shape: tuple[int, ...]) -> Tensor:
     """A trainable tensor drawn from N(0, std^2), or uninitialised when
     ``rng`` is None."""
-    data = np.empty(shape) if rng is None else rng.normal(0.0, std, size=shape)
+    data = np.empty(shape, dtype=T.DTYPE) if rng is None else rng.normal(0.0, std, size=shape)
     return Tensor(data, requires_grad=True)
 
 
@@ -182,8 +183,8 @@ class CrossAttentionBlock:
 
 
 def load_params(params: dict[str, Tensor], arrays: dict[str, np.ndarray]) -> None:
-    """Overwrite parameter data in place from checkpoint arrays, widening
-    each (float32 on disk) into the parameter's own float64 array."""
+    """Overwrite parameter data in place from checkpoint arrays, copying
+    each (float32 on disk) into the parameter's own float32 array."""
     missing = set(params) - set(arrays)
     extra = set(arrays) - set(params)
     if missing or extra:

@@ -14,7 +14,8 @@ from .tensor import Tensor
 
 
 # elements per update block: the block's slices of the parameter, gradient,
-# moments and scratch buffer (256 KB each) stay in cache across its operations
+# moments and scratch buffers (at most 256 KB each) stay in cache across its
+# operations
 BLOCK = 1 << 15
 # Adam's moment decay rates and denominator offset (Kingma & Ba's defaults)
 BETA1 = 0.9
@@ -25,15 +26,17 @@ EPS = 1e-8
 class Adam:
     """Standard Adam with bias correction.
 
-    ``step`` updates each parameter's array in place (graphs capture these
-    arrays, so a graph built before a step must not be back-propagated after
-    it) and then releases its gradient (``.grad = None``), so gradients do not
-    stay alive until the next step.  Parameters whose ``.grad`` is ``None`` are
-    skipped; a non-finite gradient (or a parameter array that is not
-    C-contiguous, which modules never build) aborts the whole update before
-    any parameter or gradient is touched.  The update runs in blocks of
-    :data:`BLOCK` elements through one preallocated scratch buffer, with the
-    same operations in the same order as a whole-array update, so the
+    The moments and the update are float64.  ``step`` subtracts the update
+    from each (float32) parameter's array in place, rounding once (graphs
+    capture these arrays, so a graph built before a step must not be
+    back-propagated after it), and then releases its gradient
+    (``.grad = None``), so gradients do not stay alive until the next step.
+    Parameters whose ``.grad`` is ``None`` are skipped; a non-finite gradient
+    (or a parameter array that is not C-contiguous, which modules never
+    build) aborts the whole update before any parameter or gradient is
+    touched.  The update runs in blocks of
+    :data:`BLOCK` elements through two preallocated float64 scratch buffers,
+    with the same operations in the same order as a whole-array update, so the
     parameters it produces are bitwise the same.
     """
 
@@ -45,6 +48,7 @@ class Adam:
         self.v = {name: np.zeros(p.data.shape) for name, p in self.params.items()}
         largest = max((p.data.size for p in self.params.values()), default=0)
         self._scratch = np.empty(min(largest, BLOCK))
+        self._wide = np.empty(min(largest, BLOCK))  # the block's gradient, then its parameter
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -72,10 +76,12 @@ class Adam:
             m = self.m[name].reshape(-1)
             v = self.v[name].reshape(-1)
             for lo in range(0, data.size, BLOCK):
-                g = grad[lo : lo + BLOCK]
                 mb = m[lo : lo + BLOCK]
                 vb = v[lo : lo + BLOCK]
-                s = self._scratch[: g.size]
+                s = self._scratch[: mb.size]
+                # widen with one cast each way: mixed-dtype ufuncs are slower
+                g = self._wide[: mb.size]
+                np.copyto(g, grad[lo : lo + BLOCK])
                 mb *= BETA1
                 mb += np.multiply(g, 1.0 - BETA1, out=s)
                 vb *= BETA2
@@ -86,7 +92,9 @@ class Adam:
                 s += EPS
                 np.divide(mb, s, out=s)
                 s *= self.lr / correction1
-                data[lo : lo + BLOCK] -= s
+                np.copyto(g, data[lo : lo + BLOCK])
+                g -= s
+                np.copyto(data[lo : lo + BLOCK], g)
             p.grad = None
 
 

@@ -136,7 +136,7 @@ class SkillPrior:
         if task_idx.ndim != 1:
             raise DimensionError(f"task ids must be (batch,), got {task_idx.shape}")
         batch = task_idx.shape[0]
-        obs = np.asarray(obs, dtype=np.float64)
+        obs = np.asarray(obs)
         if obs.shape != (batch, cfg.history, cfg.obs_dim):
             raise DimensionError(
                 f"observations must be (batch, {cfg.history}, {cfg.obs_dim}), got {obs.shape}"

@@ -1,4 +1,4 @@
-"""Dense 64-bit tensors with reverse-mode automatic differentiation.
+"""Dense float32 tensors with reverse-mode automatic differentiation.
 
 The graph is built eagerly: every operation records a node (see ``_op``)
 holding a closure that maps the output gradient to input gradients.  A
@@ -9,14 +9,23 @@ order, keeping gradients of intermediate nodes in a transient table and
 accumulating (adding, never overwriting) into ``.grad`` of leaf tensors
 only.  Calling ``backward()`` twice therefore doubles leaf gradients exactly.
 
-All data is float64; 32-bit floats appear only at serialization boundaries.
-Integer index arrays (embedding lookups, classification targets) are plain
-numpy arrays, not tensors.
+The one dtype decision lives here: a ``Tensor`` built from data holds
+:data:`DTYPE` (float32), so parameters, activations and gradients are
+float32.  Ops compute in their operands' dtype, a non-tensor operand takes
+the tensor operand's dtype, and every backward closure returns each input's
+gradient in that input's dtype.  Float64 (:data:`WIDE`) stays where the
+numerics need it: :func:`masked_attention` runs its scores, softmax,
+dropout and value mix in float64; :func:`total`, :func:`mean` and
+:func:`cross_entropy` reduce in float64 and return a float64 scalar; and
+:func:`widened` lets the finite-difference oracle run a whole model in
+float64.  Integer index arrays (embedding lookups, classification targets)
+are plain numpy arrays, not tensors.
 """
 
 from __future__ import annotations
 
 import ctypes
+import math
 import warnings
 from contextlib import contextmanager
 
@@ -25,8 +34,13 @@ from scipy.special import erf as _erf
 
 from .errors import ConfigurationError, DimensionError, RangeError
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+DTYPE = np.float32  # parameters, activations and gradients
+WIDE = np.float64  # attention, scalar reductions and finite differences
+
+# Python floats, which take the array operand's dtype (a numpy float64 scalar
+# would promote every float32 activation it touches)
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 _grad_enabled = True
 
@@ -76,13 +90,29 @@ def no_grad():
         _grad_enabled = prev
 
 
+@contextmanager
+def widened(tensors):
+    """Run the block with each tensor's data swapped for a float64 copy, and
+    put the original arrays back afterwards.  The block never writes into
+    the originals, so they come back bitwise unchanged; gradients computed
+    inside stay float64."""
+    originals = [t.data for t in tensors]
+    for t in tensors:
+        t.data = t.data.astype(WIDE)
+    try:
+        yield
+    finally:
+        for t, data in zip(tensors, originals):
+            t.data = data
+
+
 class Tensor:
     """A numpy array plus the bookkeeping needed for reverse-mode autodiff."""
 
     __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = np.asarray(data, dtype=DTYPE)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._node: tuple | None = None  # (backward, parents); see _op
@@ -117,7 +147,7 @@ class Tensor:
                 raise DimensionError("backward() without a seed needs a scalar output")
             seed = np.ones_like(self.data)
         else:
-            seed = np.asarray(grad, dtype=np.float64)
+            seed = np.asarray(grad, dtype=self.data.dtype)
             if seed.shape != self.shape:
                 raise DimensionError(f"seed shape {seed.shape} != tensor shape {self.shape}")
 
@@ -161,28 +191,28 @@ class Tensor:
     # -- operator sugar ----------------------------------------------------
 
     def __add__(self, other):
-        return add(self, _wrap(other))
+        return add(self, _wrap(other, self))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return sub(self, _wrap(other))
+        return sub(self, _wrap(other, self))
 
     def __rsub__(self, other):
-        return sub(_wrap(other), self)
+        return sub(_wrap(other, self), self)
 
     def __mul__(self, other):
-        return mul(self, _wrap(other))
+        return mul(self, _wrap(other, self))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Tensor):
             raise TypeError("tensor/tensor division is not part of the op set")
-        return mul(self, _wrap(1.0 / other))
+        return mul(self, _wrap(1.0 / other, self))
 
     def __neg__(self):
-        return mul(self, _wrap(-1.0))
+        return mul(self, _wrap(-1.0, self))
 
     def __pow__(self, exponent):
         return power(self, exponent)
@@ -219,10 +249,11 @@ class Tensor:
         return transpose(self, axes)
 
 
-def _wrap(value) -> Tensor:
+def _wrap(value, like: Tensor) -> Tensor:
+    """``value`` as a tensor; anything but a tensor takes ``like``'s dtype."""
     if isinstance(value, Tensor):
         return value
-    return Tensor(np.asarray(value, dtype=np.float64))
+    return _op(np.asarray(value, dtype=like.data.dtype), (), None)
 
 
 def _op(data: np.ndarray, inputs: tuple[Tensor, ...], backward) -> Tensor:
@@ -326,24 +357,35 @@ def round_ste(x: Tensor) -> Tensor:
     return _op(np.round(x.data), (x,), lambda g: (g,))
 
 
+def cast(x: Tensor, dtype) -> Tensor:
+    """``x`` converted to ``dtype`` (``x`` itself if it has it already); the
+    gradient returns in ``x``'s dtype."""
+    source = x.data.dtype
+    if source == dtype:
+        return x
+    return _op(x.data.astype(dtype), (x,), lambda g: (g.astype(source),))
+
+
 # -- reductions ------------------------------------------------------------
 
 
 def total(x: Tensor) -> Tensor:
-    shape = x.shape
-    out = np.asarray(x.data.sum())
-    return _op(out, (x,), lambda g: (np.broadcast_to(g, shape).copy(),))
+    """Sum of every element, accumulated in float64."""
+    shape, dtype = x.shape, x.data.dtype
+    out = np.asarray(x.data.sum(dtype=WIDE))
+    return _op(out, (x,), lambda g: (np.full(shape, g, dtype=dtype),))
 
 
 def mean(x: Tensor) -> Tensor:
-    n, shape = x.size, x.shape
-    out = np.asarray(x.data.mean())
-    return _op(out, (x,), lambda g: (np.broadcast_to(g / n, shape).copy(),))
+    """Mean of every element, accumulated in float64."""
+    n, shape, dtype = x.size, x.shape, x.data.dtype
+    out = np.asarray(x.data.mean(dtype=WIDE))
+    return _op(out, (x,), lambda g: (np.full(shape, g / n, dtype=dtype),))
 
 
 def l1_loss(prediction: Tensor, target: Tensor) -> Tensor:
     """Mean absolute error over every element."""
-    return mean(absolute(sub(prediction, _wrap(target))))
+    return mean(absolute(sub(prediction, _wrap(target, prediction))))
 
 
 # -- shape manipulation ----------------------------------------------------
@@ -360,13 +402,13 @@ def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
 
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
-    x_shape = x.shape
+    x_shape, dtype = x.shape, x.data.dtype
     index = [slice(None)] * x.ndim
     index[axis] = slice(start, start + length)
     index = tuple(index)
 
     def backward(g):
-        full = np.zeros(x_shape, dtype=np.float64)
+        full = np.zeros(x_shape, dtype=dtype)
         full[index] = g
         return (full,)
 
@@ -412,7 +454,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise DimensionError(f"linear inner dims differ: {x.shape} @ {weight.shape}")
     x_shape, w = x.shape, weight.data
     flat = x.data.reshape(-1, d_in)
-    out = np.matmul(flat, w)
+    out = np.matmul(flat, w, dtype=np.result_type(flat, w, bias.data))
     out += bias.data
 
     def backward(g):
@@ -431,10 +473,10 @@ def embedding(table: Tensor, indices: np.ndarray) -> Tensor:
     if not np.issubdtype(idx.dtype, np.integer):
         raise DimensionError("embedding indices must be integers")
 
-    table_shape = table.shape
+    table_shape, dtype = table.shape, table.data.dtype
 
     def backward(g):
-        gt = np.zeros(table_shape, dtype=np.float64)
+        gt = np.zeros(table_shape, dtype=dtype)
         np.add.at(gt, idx, g)
         return (gt,)
 
@@ -493,7 +535,8 @@ def masked_softmax(scores: Tensor, mask: np.ndarray | None = None) -> Tensor:
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood of integer targets under softmax logits.
+    """Mean negative log-likelihood of integer targets under softmax logits,
+    computed in float64.
 
     ``logits`` has shape (..., K); ``targets`` the corresponding (...) ints.
     """
@@ -504,19 +547,19 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= k):
         raise RangeError(f"target index out of range [0, {k})")
 
-    flat = logits.data.reshape(-1, k)
+    flat = logits.data.reshape(-1, k).astype(WIDE, copy=False)
     flat_idx = idx.reshape(-1)
     n = flat.shape[0]
     m = flat.max(axis=-1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(flat - m).sum(axis=-1))
     picked = flat[np.arange(n), flat_idx]
     out = np.asarray((lse - picked).mean())
-    logits_shape = logits.shape
+    logits_shape, dtype = logits.shape, logits.data.dtype
 
     def backward(g):
         soft = np.exp(flat - lse[:, None])
         soft[np.arange(n), flat_idx] -= 1.0
-        return ((g / n) * soft.reshape(logits_shape),)
+        return (((g / n) * soft).astype(dtype, copy=False).reshape(logits_shape),)
 
     return _op(out, (logits,), backward)
 
@@ -531,7 +574,7 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None, training: bool
     if rng is None:
         raise ConfigurationError("dropout in training mode needs the run's generator")
     keep = (rng.random(x.shape) >= p) / (1.0 - p)
-    return mul(x, _wrap(keep))
+    return mul(x, _wrap(keep, x))
 
 
 def causal_conv1d(x: Tensor, kernel: Tensor, stride: int) -> Tensor:
@@ -555,10 +598,11 @@ def causal_conv1d(x: Tensor, kernel: Tensor, stride: int) -> Tensor:
 
     batch, t_in, _ = xd.shape
     t_out = -(-t_in // stride)
-    padded = np.concatenate([np.zeros((batch, ksize - 1, c_in)), xd], axis=1)
-    stop = (t_out - 1) * stride + 1
-    out = np.zeros((batch, t_out, c_out))
     kd = kernel.data
+    dtype = np.result_type(xd, kd)
+    padded = np.concatenate([np.zeros((batch, ksize - 1, c_in), dtype=dtype), xd], axis=1)
+    stop = (t_out - 1) * stride + 1
+    out = np.zeros((batch, t_out, c_out), dtype=dtype)
     for k in range(ksize):
         out += np.matmul(padded[:, k : k + stop : stride, :], kd[k])
 
@@ -592,15 +636,21 @@ def masked_attention(
     convex at evaluation, and in training mode with the attention
     probabilities passed through ``dropout(p, rng, training)``.  Shapes are
     (..., Tq, D) / (..., Tk, D) with a (Tq, Tk)-broadcastable boolean mask.
+
+    Scores, softmax, dropout and the value mix run in float64 and the result
+    has the queries' dtype.  The batch shape and masked-out positions then
+    move a row's result only far below float32 resolution, so the prior's
+    cached sampler and its teacher-forced pass give the same float32 logits.
     """
     if keys.shape[-1] != queries.shape[-1]:
         raise DimensionError("queries and keys must share the feature dimension")
     if values.shape[-2] != keys.shape[-2]:
         raise DimensionError("keys and values must share the sequence length")
+    q, k, v = cast(queries, WIDE), cast(keys, WIDE), cast(values, WIDE)
     scale = 1.0 / np.sqrt(queries.shape[-1])
-    scores = mul(matmul(queries, transpose(keys, _swap_last(keys.ndim))), _wrap(scale))
+    scores = mul(matmul(q, transpose(k, _swap_last(k.ndim))), _wrap(scale, q))
     probs = dropout(masked_softmax(scores, mask), p, rng, training)
-    return matmul(probs, values)
+    return cast(matmul(probs, v), queries.data.dtype)
 
 
 def _swap_last(ndim: int) -> tuple[int, ...]:
@@ -614,7 +664,7 @@ def sinusoidal_table(length: int, dim: int) -> np.ndarray:
     positions = np.arange(length, dtype=np.float64)[:, None]
     freqs = np.exp(-np.log(10000.0) * (2 * (np.arange(dim) // 2)) / dim)[None, :]
     angles = positions * freqs
-    table = np.empty((length, dim))
+    table = np.empty((length, dim), dtype=DTYPE)
     table[:, 0::2] = np.sin(angles[:, 0::2])
     table[:, 1::2] = np.cos(angles[:, 1::2])
     return table

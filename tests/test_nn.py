@@ -10,17 +10,20 @@ from qst.tensor import Tensor
 
 
 def reference_attention(attn, x, kv, mask, rng, training):
-    """Split heads, scaled scores, masked softmax, dropout, @ v, merge, wo."""
+    """Split heads, widen to float64, scaled scores, masked softmax, dropout,
+    @ v, back to float32, merge, wo."""
     source = x if kv is None else kv
 
     def split(t):
         b, n, _ = t.shape
         return t.reshape(b, n, attn.heads, attn.head_dim).transpose(0, 2, 1, 3)
 
-    q, k, v = split(attn.wq(x)), split(attn.wk(source)), split(attn.wv(source))
+    q, k, v = (
+        T.cast(split(t), np.float64) for t in (attn.wq(x), attn.wk(source), attn.wv(source))
+    )
     scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(attn.head_dim))
     probs = T.dropout(T.masked_softmax(scores, mask), attn.dropout, rng, training)
-    out = probs @ v
+    out = T.cast(probs @ v, np.float32)
     b, _, n, _ = out.shape
     return attn.wo(out.transpose(0, 2, 1, 3).reshape(b, n, attn.heads * attn.head_dim))
 
@@ -56,6 +59,6 @@ def test_cached_transformer_block_matches_full_causal_pass():
     for t in range(prefill, total):
         parts.append(block(T.narrow(x, 1, t, 1), cache=cache).data)
         assert [c.shape for c in cache] == [(batch, 3, t + 1, 4)] * 2
-    np.testing.assert_allclose(np.concatenate(parts, axis=1), full, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(np.concatenate(parts, axis=1), full)
     fresh = TransformerBlock(np.random.default_rng(1), dim=12, heads=3, dropout=0.25)
     assert list(named_params(block)) == list(named_params(fresh))  # the cache stayed the caller's

@@ -99,6 +99,7 @@ class TestLogits:
         rng = np.random.default_rng(4)
         task_idx, obs = context_batch(rng)
         logits = prior.logits(task_idx, obs, rng.integers(0, 1000, size=(3, 7))).data
+        logits = logits.astype(np.float64)  # normalise in float64, as sampling checks do
         probs = np.exp(logits - logits.max(axis=-1, keepdims=True))
         probs /= probs.sum(axis=-1, keepdims=True)
         assert np.abs(probs.sum(axis=-1) - 1.0).max() < 1e-12
@@ -232,8 +233,8 @@ class TestFromCheckpoint:
 
         def assert_bitwise(params, ckpt):
             for name, p in params.items():
-                assert p.data.dtype == np.float64
-                np.testing.assert_array_equal(p.data, ckpt.params[name].astype(np.float64))
+                assert p.data.dtype == np.float32
+                np.testing.assert_array_equal(p.data, ckpt.params[name])
 
         assert_bitwise(loaded_ae.params(), stage1)
         assert_bitwise(loaded_prior.params(), stage2)

@@ -78,7 +78,7 @@ def test_matmul_shape_errors():
 @pytest.mark.parametrize("lead", [(5,), (2, 4)], ids=["2d", "3d"])
 def test_linear_gradients_and_bitwise_match(lead):
     rng = np.random.default_rng(24)
-    x, w, b = rng.normal(size=lead + (3,)), rng.normal(size=(3, 4)), rng.normal(size=4)
+    x, w, b = (rng.normal(size=s).astype(np.float32) for s in (lead + (3,), (3, 4), (4,)))
     out = T.linear(Tensor(x), Tensor(w), Tensor(b))
     np.testing.assert_array_equal(out.data, x @ w + b)
     assert out.shape == lead + (4,)
@@ -106,7 +106,7 @@ def test_layer_norm_gradients():
 def test_embedding_lookup_and_scatter_gradient():
     rng = np.random.default_rng(4)
     idx = np.array([[0, 2], [2, 1]])
-    table = rng.normal(size=(3, 4))
+    table = rng.normal(size=(3, 4)).astype(np.float32)
     out = T.embedding(Tensor(table), idx)
     np.testing.assert_array_equal(out.data, table[idx])
     # repeated rows must accumulate gradient
@@ -137,7 +137,7 @@ def test_cross_entropy_target_range():
 
 def test_masked_softmax_rows_sum_to_one():
     rng = np.random.default_rng(6)
-    scores = Tensor(rng.normal(size=(3, 8, 8)))
+    scores = T.cast(Tensor(rng.normal(size=(3, 8, 8))), np.float64)
     mask = np.tril(np.ones((8, 8), dtype=bool))
     probs = T.masked_softmax(scores, mask)
     sums = probs.data.sum(axis=-1)
@@ -410,17 +410,24 @@ class TestAdam:
         rng = np.random.default_rng(27)
         params = self._blocked_params(rng)
         ref = {name: p.data.copy() for name, p in params.items()}
-        m = {name: np.zeros_like(arr) for name, arr in ref.items()}
-        v = {name: np.zeros_like(arr) for name, arr in ref.items()}
+        m = {name: np.zeros(arr.shape) for name, arr in ref.items()}  # float64 moments
+        v = {name: np.zeros(arr.shape) for name, arr in ref.items()}
         opt = Adam(params, lr=lr)
         for t in range(1, 5):
-            grads = {name: rng.normal(size=p.shape) for name, p in params.items() if name != "unused"}
+            grads = {
+                name: rng.normal(size=p.shape).astype(np.float32)
+                for name, p in params.items()
+                if name != "unused"
+            }
             for name, g in grads.items():
                 params[name].grad = g.copy()
             opt.step()
-            # the whole-array update the blocked one must reproduce bitwise
+            # the whole-array update the blocked one must reproduce bitwise:
+            # float64 moments of the float32 gradient, one rounding into the
+            # float32 parameter
             c1, c2 = 1.0 - beta1**t, 1.0 - beta2**t
             for name, g in grads.items():
+                g = g.astype(np.float64)
                 m[name] *= beta1
                 m[name] += (1.0 - beta1) * g
                 v[name] *= beta2
@@ -429,6 +436,7 @@ class TestAdam:
                 denom += eps
                 ref[name] -= (m[name] / denom) * (lr / c1)
             for name, p in params.items():
+                assert p.data.dtype == np.float32 and opt.m[name].dtype == np.float64
                 np.testing.assert_array_equal(p.data, ref[name])
                 np.testing.assert_array_equal(opt.m[name], m[name])
                 np.testing.assert_array_equal(opt.v[name], v[name])
