@@ -17,12 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autoencoder import SkillAutoencoder
 from .checkpoint import Checkpoint
 from .config import RunConfig
 from .errors import ArgumentError, ConfigurationError
-from .nn import load_params
-from .prior import SkillPrior, check_stage1_link
+from .prior import load_pair
 from .tasks import PointEnv, get_task
 
 
@@ -78,14 +76,7 @@ class Policy:
     """Frozen checkpoint pair bound into a callable planner."""
 
     def __init__(self, stage1_ckpt: Checkpoint, stage2_ckpt: Checkpoint):
-        check_stage1_link(stage1_ckpt, stage2_ckpt)
-        self.autoencoder = SkillAutoencoder.from_checkpoint(stage1_ckpt)
-        self.prior, self.run_config = SkillPrior.from_checkpoint(stage2_ckpt)
-        if tuple(self.autoencoder.cfg.fsq_levels) != tuple(self.run_config.fsq_levels):
-            raise ConfigurationError("stage-1/stage-2 quantizer specs differ")
-        if stage2_ckpt.meta.get("decoder_finetuned") == "true":
-            overrides = {k: v for k, v in stage2_ckpt.params.items() if k.startswith("decoder.")}
-            load_params(self.autoencoder.decoder_side_params(), overrides)
+        self.autoencoder, self.prior, self.run_config, _ = load_pair(stage1_ckpt, stage2_ckpt)
 
     def plan_batch(
         self, task_idx: np.ndarray, obs_histories: np.ndarray, rngs, top_k: int, temperature: float

@@ -105,7 +105,7 @@ class MultiHeadAttention:
 
     def __init__(self, rng: np.random.Generator | None, dim: int, heads: int, dropout: float):
         if dim % heads != 0:
-            raise ValueError(f"dim {dim} not divisible by heads {heads}")
+            raise ConfigurationError(f"dim {dim} not divisible by heads {heads}")
         self.heads = heads
         self.head_dim = dim // heads
         self.dropout = dropout

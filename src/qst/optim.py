@@ -8,15 +8,11 @@ from typing import Callable
 import numpy as np
 
 from .config import RunConfig
-from .errors import ArgumentError, NumericalError
+from .errors import NumericalError
 from .metrics import MetricsWriter
 from .tensor import Tensor
 
 
-# elements per update block: the block's slices of the parameter, gradient,
-# moments and scratch buffers (at most 256 KB each) stay in cache across its
-# operations
-BLOCK = 1 << 15
 # Adam's moment decay rates and denominator offset (Kingma & Ba's defaults)
 BETA1 = 0.9
 BETA2 = 0.999
@@ -24,31 +20,24 @@ EPS = 1e-8
 
 
 class Adam:
-    """Standard Adam with bias correction.
+    """Standard Adam with bias correction (Kingma & Ba, arXiv:1412.6980).
 
-    The moments and the update are float64.  ``step`` subtracts the update
-    from each (float32) parameter's array in place, rounding once (graphs
-    capture these arrays, so a graph built before a step must not be
-    back-propagated after it), and then releases its gradient
-    (``.grad = None``), so gradients do not stay alive until the next step.
-    Parameters whose ``.grad`` is ``None`` are skipped; a non-finite gradient
-    (or a parameter array that is not C-contiguous, which modules never
-    build) aborts the whole update before any parameter or gradient is
-    touched.  The update runs in blocks of
-    :data:`BLOCK` elements through two preallocated float64 scratch buffers,
-    with the same operations in the same order as a whole-array update, so the
-    parameters it produces are bitwise the same.
+    The moments take each parameter's dtype.  ``step`` updates each
+    parameter's array in place with whole-array operations (graphs capture
+    these arrays, so a graph built before a step must not be back-propagated
+    after it), and then releases its gradient (``.grad = None``), so gradients
+    do not stay alive until the next step.  Parameters whose ``.grad`` is
+    ``None`` are skipped; a non-finite gradient aborts the whole update before
+    any parameter, moment or gradient is touched.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-4):
         self.params = dict(params)
         self.lr = lr
         self.step_count = 0
-        self.m = {name: np.zeros(p.data.shape) for name, p in self.params.items()}
-        self.v = {name: np.zeros(p.data.shape) for name, p in self.params.items()}
-        largest = max((p.data.size for p in self.params.values()), default=0)
-        self._scratch = np.empty(min(largest, BLOCK))
-        self._wide = np.empty(min(largest, BLOCK))  # the block's gradient, then its parameter
+        # np.zeros leaves the zeroing to the page allocator; zeros_like writes it
+        self.m = {name: np.zeros(p.shape, p.data.dtype) for name, p in self.params.items()}
+        self.v = {name: np.zeros(p.shape, p.data.dtype) for name, p in self.params.items()}
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -57,44 +46,30 @@ class Adam:
     def step(self) -> None:
         for name, p in self.params.items():
             g = p.grad
-            if g is None:
-                continue
             # a NaN or infinity shows in the max or the min; no boolean temporary
-            if g.size and not (np.isfinite(g.max()) and np.isfinite(g.min())):
+            if g is not None and g.size and not (np.isfinite(g.max()) and np.isfinite(g.min())):
                 raise NumericalError(f"non-finite gradient for parameter '{name}'")
-            if not p.data.flags.c_contiguous:
-                raise ArgumentError(f"parameter '{name}' is not a C-contiguous array")
         self.step_count += 1
         t = self.step_count
         correction1 = 1.0 - BETA1**t
         correction2 = 1.0 - BETA2**t
         for name, p in self.params.items():
-            if p.grad is None:
+            g = p.grad
+            if g is None:
                 continue
-            data = p.data.reshape(-1)
-            grad = p.grad.reshape(-1)
-            m = self.m[name].reshape(-1)
-            v = self.v[name].reshape(-1)
-            for lo in range(0, data.size, BLOCK):
-                mb = m[lo : lo + BLOCK]
-                vb = v[lo : lo + BLOCK]
-                s = self._scratch[: mb.size]
-                # widen with one cast each way: mixed-dtype ufuncs are slower
-                g = self._wide[: mb.size]
-                np.copyto(g, grad[lo : lo + BLOCK])
-                mb *= BETA1
-                mb += np.multiply(g, 1.0 - BETA1, out=s)
-                vb *= BETA2
-                np.multiply(g, g, out=s)
-                vb += np.multiply(s, 1.0 - BETA2, out=s)
-                np.divide(vb, correction2, out=s)
-                np.sqrt(s, out=s)
-                s += EPS
-                np.divide(mb, s, out=s)
-                s *= self.lr / correction1
-                np.copyto(g, data[lo : lo + BLOCK])
-                g -= s
-                np.copyto(data[lo : lo + BLOCK], g)
+            m, v = self.m[name], self.v[name]
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            s = g * g
+            s *= 1.0 - BETA2
+            v += s
+            np.divide(v, correction2, out=s)
+            np.sqrt(s, out=s)
+            s += EPS
+            np.divide(m, s, out=s)
+            s *= self.lr / correction1
+            p.data -= s
             p.grad = None
 
 

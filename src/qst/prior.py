@@ -308,6 +308,27 @@ def check_stage1_link(stage1_ckpt: Checkpoint, stage2_ckpt: Checkpoint) -> str:
     return sha256
 
 
+def load_pair(
+    stage1_ckpt: Checkpoint, stage2_ckpt: Checkpoint
+) -> tuple[SkillAutoencoder, SkillPrior, RunConfig, str]:
+    """Load a stage-1/stage-2 checkpoint pair.
+
+    Checks the stage-1 link and the stage-2 config against the stage-1
+    checkpoint's structure, then loads both models.  The ``decoder.*`` arrays
+    a stage-2 checkpoint ships (from decoder finetuning) replace the stage-1
+    decoder's.  Returns the autoencoder, the prior, the stage-2 config and
+    the stage-1 hash.
+    """
+    stage1_sha256 = check_stage1_link(stage1_ckpt, stage2_ckpt)
+    autoencoder = SkillAutoencoder.from_checkpoint(stage1_ckpt)
+    prior, cfg = SkillPrior.from_checkpoint(stage2_ckpt)
+    check_structural_match(cfg, stage1_ckpt, "stage-1")
+    decoder = {k: v for k, v in stage2_ckpt.params.items() if k.startswith("decoder.")}
+    if decoder:
+        load_params(autoencoder.decoder_side_params(), decoder)
+    return autoencoder, prior, cfg, stage1_sha256
+
+
 def encode_targets(autoencoder: SkillAutoencoder, windows: np.ndarray) -> np.ndarray:
     """Tokenize every window with the frozen stage-1 encoder."""
     out = []
@@ -366,7 +387,10 @@ def finetune_fewshot(
 ) -> Checkpoint:
     """Adapt the prior (and optionally the decoder) to a handful of demos.
 
-    The encoder and quantizer projections stay frozen.  With decoder
+    The encoder and quantizer projections stay frozen.  Training starts from
+    the decoder :func:`load_pair` loads, so a stage-2 checkpoint's finetuned
+    decoder is trained on (decoder finetuning on) or passed on unchanged
+    (off).  With decoder
     finetuning on, each batch also decodes skill tokens sampled from the
     current prior and adds ``cfg.decoder_loss_scale`` times their
     reconstruction error; the sampled tokens are integers, so no gradient can
@@ -375,13 +399,11 @@ def finetune_fewshot(
     if len(demos) == 0:
         raise ArgumentError("cannot finetune on an empty dataset")
     check_structural_match(cfg, stage1_ckpt, "stage-1")
-    stage1_sha256 = check_stage1_link(stage1_ckpt, stage2_ckpt)
-    autoencoder = SkillAutoencoder.from_checkpoint(stage1_ckpt)
+    autoencoder, prior, _, stage1_sha256 = load_pair(stage1_ckpt, stage2_ckpt)
+    decoder = autoencoder.decoder_side_params()
     set_requires_grad(autoencoder.encoder_side_params(), False)
-    set_requires_grad(autoencoder.decoder_side_params(), decoder_finetune)
-    decoder = autoencoder.decoder_side_params() if decoder_finetune else {}
+    set_requires_grad(decoder, decoder_finetune)
 
-    prior, _ = SkillPrior.from_checkpoint(stage2_ckpt)
     row_rng = np.random.default_rng(np.random.SeedSequence((seed, 31)))
     task_rows = np.asarray([prior.ensure_task(name, row_rng) for name in demos.task_names()])
 
@@ -399,7 +421,7 @@ def finetune_fewshot(
         return loss + cfg.decoder_loss_scale * T.l1_loss(pred, Tensor(windows[idx]))
 
     train_epochs(
-        prior.params() | decoder,
+        prior.params() | (decoder if decoder_finetune else {}),
         cfg,
         cfg.finetune_epochs,
         run_rng,
@@ -410,5 +432,7 @@ def finetune_fewshot(
     )
     finetuned = "true" if decoder_finetune else "false"
     meta = {"stage1_sha256": stage1_sha256, "decoder_finetuned": finetuned}
-    return prior.to_checkpoint(cfg, meta, decoder)
+    # a decoder the stage-2 checkpoint shipped ships on, trained or not
+    ships = decoder_finetune or any(k.startswith("decoder.") for k in stage2_ckpt.params)
+    return prior.to_checkpoint(cfg, meta, decoder if ships else None)
 

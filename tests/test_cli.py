@@ -6,8 +6,10 @@ import os
 import numpy as np
 import pytest
 
+from qst.checkpoint import Checkpoint
 from qst.cli import main
 from qst.config import RunConfig
+from qst.controller import Policy
 
 from test_autoencoder import tiny_config
 
@@ -124,6 +126,37 @@ class TestPipeline:
         assert {r["seed"] for r in rollouts} == {0, 1}
         for r in rollouts:
             assert set(r) >= {"task", "seed", "success", "steps", "tokens"}
+
+    def test_refinetuning_a_finetuned_decoder_starts_from_it(self, run_dir, tmp_path):
+        """Finetuning from a checkpoint whose decoder was finetuned: with the
+        decoder off, the output ships that decoder unchanged and the policy
+        runs it; with the decoder on (and no epochs), training starts from it."""
+        out, cfg_path = run_dir
+        no_epochs = tmp_path / "no_epochs.cfg"
+        no_epochs.write_text(RunConfig(**{**TINY.__dict__, "finetune_epochs": 0}).snapshot())
+
+        def finetune(stage2, decoder, name, config=cfg_path):
+            dest = tmp_path / name
+            argv = ["--config", str(config), "--seed", "0", "--out", str(dest)]
+            assert main([
+                "finetune", "--demos", str(out / "fewshot.qstd"), "--decoder-finetune", decoder,
+                "--stage1", str(out / "stage1.ckpt"), "--stage2", str(stage2), *argv,
+            ]) == 0
+            return Checkpoint.load(dest / "finetuned.ckpt")
+
+        on = finetune(out / "stage2.ckpt", "on", "on")
+        decoder = {k: v for k, v in on.params.items() if k.startswith("decoder.")}
+        stage1 = Checkpoint.load(out / "stage1.ckpt")
+        assert decoder and any(not np.array_equal(v, stage1.params[k]) for k, v in decoder.items())
+        off = finetune(tmp_path / "on" / "finetuned.ckpt", "off", "off")
+        again = finetune(tmp_path / "on" / "finetuned.ckpt", "on", "again", no_epochs)
+        assert off.meta["decoder_finetuned"] == "false"
+        assert again.meta["decoder_finetuned"] == "true"
+        policy = Policy(stage1, off)
+        for name, p in policy.autoencoder.decoder_side_params().items():
+            np.testing.assert_array_equal(off.params[name], decoder[name])
+            np.testing.assert_array_equal(again.params[name], decoder[name])
+            np.testing.assert_array_equal(p.data, decoder[name])
 
     def test_eval_refuses_mismatched_config(self, run_dir, tmp_path):
         out, _ = run_dir

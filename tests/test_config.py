@@ -107,6 +107,10 @@ class TestRunConfig:
             ("fsq_levels", "1,1000"),
             ("fsq_levels", "2,500"),
             ("fsq_levels", ""),
+            ("T", "abc"),
+            ("encoder_causal", "maybe"),
+            ("execution_horizon", "33"),
+            ("optimizer", "sgd"),
         ],
     )
     def test_bad_value_refused_at_parse(self, key, value):
@@ -114,6 +118,11 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError, match=key) as err:
             RunConfig.from_text(text)
         assert "top_k" not in str(err.value)  # each refusal names the key at fault
+
+    def test_top_k_above_vocabulary_refused_at_parse(self):
+        text = SMALL.snapshot() + f"top_k = {SMALL.vocab_size + 1}\n"
+        with pytest.raises(ConfigurationError, match=r"top_k must lie in \[1, vocab size\]"):
+            RunConfig.from_text(text)
 
     def test_zero_epochs_and_window_caps_are_valid(self):
         text = SMALL.snapshot() + "".join(
@@ -193,8 +202,10 @@ class TestCheckpoint:
             (b"\t7\t48", b"\t7\tx", "integer"),
             (b"\t7\t48", b"\t7\t-48", "offset"),
             (b"decoder.b\t", b"encoder.w\t", "twice"),
+            (b"\t7\t48", b"\t7", "malformed"),
+            (b"decoder.b\tf32", b"decoder.b\tf16", "dtype"),
         ],
-        ids=["dims", "offset", "negative-offset", "repeated-name"],
+        ids=["dims", "offset", "negative-offset", "repeated-name", "three-fields", "f16"],
     )
     def test_bad_parameter_line_rejected(self, old, new, match):
         raw = self._make().to_bytes()

@@ -17,7 +17,7 @@ from qst.controller import (
     stack_history,
 )
 from qst.errors import ConfigurationError
-from qst.prior import train_stage2
+from qst.prior import PriorConfig, SkillPrior, train_stage2
 
 from test_autoencoder import tiny_config
 
@@ -105,6 +105,14 @@ class TestPolicy:
         with pytest.raises(ConfigurationError):
             Policy(other, stage2)
 
+    def test_unlinked_stage2_of_another_structure_rejected(self, pipeline):
+        # without a recorded stage-1 hash, only the structural check stands
+        cfg, stage1, stage2, _ = pipeline
+        other = dataclasses.replace(cfg, fsq_levels=(3, 3))
+        prior = SkillPrior(PriorConfig.from_run_config(other), ["circle-ccw"], np.random.default_rng(0))
+        unlinked = prior.to_checkpoint(other, {})
+        with pytest.raises(ConfigurationError, match="fsq_levels"):
+            Policy(stage1, unlinked)
 
     @staticmethod
     def _decoder_finetuned(stage1, stage2, edit):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qst import tensor as T
+from qst.errors import ConfigurationError
 from qst.nn import MultiHeadAttention, TransformerBlock, causal_mask, named_params
 from qst.tensor import Tensor
 
@@ -62,3 +63,8 @@ def test_cached_transformer_block_matches_full_causal_pass():
     np.testing.assert_array_equal(np.concatenate(parts, axis=1), full)
     fresh = TransformerBlock(np.random.default_rng(1), dim=12, heads=3, dropout=0.25)
     assert list(named_params(block)) == list(named_params(fresh))  # the cache stayed the caller's
+
+
+def test_heads_that_do_not_divide_dim_are_a_configuration_error():
+    with pytest.raises(ConfigurationError, match="not divisible"):
+        MultiHeadAttention(np.random.default_rng(0), dim=10, heads=3, dropout=0.0)

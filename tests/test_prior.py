@@ -242,6 +242,12 @@ class TestFromCheckpoint:
         assert_bitwise(policy.autoencoder.encoder_side_params(), stage1)
         assert_bitwise(policy.autoencoder.decoder_side_params(), stage2)
 
+    def test_missing_task_list_is_configuration_error(self):
+        ckpt = self._checkpoint()
+        del ckpt.meta["tasks"]
+        with pytest.raises(ConfigurationError, match="task list"):
+            SkillPrior.from_checkpoint(ckpt)
+
     def test_autoencoder_missing_parameter_is_configuration_error(self):
         ckpt = SkillAutoencoder(tiny_config(), np.random.default_rng(6)).to_checkpoint()
         del ckpt.params["decoder.token_pos"]
@@ -268,6 +274,23 @@ class TestSampling:
             np.random.default_rng(1),
         )
         assert len(np.unique(draws)) > 5  # hot temperature reaches many codes
+
+    @pytest.mark.parametrize(
+        "k, temperature, generators, error, match",
+        [
+            (0, 1.0, 1, ConfigurationError, "k must lie"),
+            (16, 1.0, 1, ConfigurationError, "k must lie"),
+            (3, 0.0, 1, ConfigurationError, "temperature"),
+            (3, 1.0, 2, DimensionError, "one generator per batch row"),
+        ],
+        ids=["k-zero", "k-above-vocab", "zero-temperature", "generator-count"],
+    )
+    def test_bad_sampler_arguments_refused(self, k, temperature, generators, error, match):
+        prior = small_prior(vocab=15)
+        task_idx, obs = context_batch(np.random.default_rng(16))
+        rngs = [np.random.default_rng(i) for i in range(generators)]
+        with pytest.raises(error, match=match):
+            prior.sample(task_idx, obs, k, temperature, rngs)
 
     def test_top2_frequency_matches_renormalized_probability(self):
         prior = small_prior(vocab=50, n_tokens=1, dim=16, layers=1, heads=2)

@@ -234,6 +234,21 @@ class TestDatasetIO:
         with pytest.raises(DataFormatError, match=match):
             read_dataset(p)
 
+    @pytest.mark.parametrize(
+        "header,match",
+        [
+            ("seed 0\nepisodes 1\nobs_dim 4\nact_dim 2\ncolor blue\nepisode 3 a\n", "unknown header line"),
+            ("seed 0\nepisodes 1\nobs_dim 4\nepisode 3 a\n", "missing 'act_dim'"),
+            ("seed 0\nepisodes 2\nobs_dim 4\nact_dim 2\nepisode 3 a\n", "declares 2 episodes but lists 1"),
+        ],
+        ids=["unknown-line", "missing-act-dim", "episode-count"],
+    )
+    def test_bad_header_rejected(self, tmp_path, header, match):
+        p = tmp_path / "a.qstd"
+        p.write_text("QSTD1\n" + header + "\n")
+        with pytest.raises(DataFormatError, match=match):
+            read_dataset(p)
+
     def test_empty_dataset_roundtrips_but_training_rejects(self, tmp_path):
         from qst.data import window_arrays
 
