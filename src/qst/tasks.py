@@ -9,7 +9,7 @@ every phase of an episode, including "stay put", appears in the data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +18,8 @@ from .errors import ArgumentError, ConfigurationError
 
 ARENA = 1.0
 MAX_STEP = 0.1
+EPS = 0.05  # success: the agent ends within EPS of the template endpoint
+DELTA = 0.1  # corridor: every visited point lies within DELTA of the template
 START_NOISE = 0.01
 ACTION_NOISE = 0.002
 SEQUENCE_LENGTH = 32
@@ -32,14 +34,12 @@ PREFIX_GROUP = ("circle-ccw", "s-curve", "figure-eight")
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """One benchmark task: template branch(es) and tolerances."""
+    """One benchmark task: its template branch(es)."""
 
     name: str
     ordinal: int
     branches: tuple[np.ndarray, ...]  # each (steps+1, 2), hold tail included
     goal: np.ndarray  # template endpoint, shared by all branches
-    eps: float = 0.05  # endpoint tolerance
-    delta: float = 0.1  # corridor tolerance
 
     def __post_init__(self):
         for branch in self.branches:
@@ -224,8 +224,9 @@ def generate_suite(
 class PointEnv:
     """Deterministic 2D point agent with bounded per-axis displacement.
 
-    Tracks the running corridor violation per branch so success can be
-    checked cheaply after every step.
+    Tracks, per branch, the running corridor violation and the furthest
+    template point reached in order, so success can be checked cheaply after
+    every step.
     """
 
     def __init__(self, task: TaskSpec):
@@ -239,32 +240,40 @@ class PointEnv:
         self.position = np.clip(start, -ARENA, ARENA)
         self.step_count = 0
         self._worst = np.zeros(len(self.task.branches))
-        self._update_worst()
+        self._reached = [-1] * len(self.task.branches)
+        self._track()
         return self.observation()
 
-    def _update_worst(self):
+    def _track(self):
         for b, branch in enumerate(self.task.branches):
-            d = np.linalg.norm(branch - self.position, axis=1).min()
-            if d > self._worst[b]:
-                self._worst[b] = d
+            d = np.linalg.norm(branch - self.position, axis=1)
+            self._worst[b] = max(self._worst[b], d.min())
+            # advance through the template points the agent lies near, in order
+            i = self._reached[b]
+            while i + 1 < len(d) and d[i + 1] <= DELTA:
+                i += 1
+            self._reached[b] = i
 
     def step(self, action: np.ndarray) -> np.ndarray:
         a = np.clip(np.asarray(action, dtype=np.float64), -MAX_STEP, MAX_STEP)
         self.position = np.clip(self.position + a, -ARENA, ARENA)
         self.step_count += 1
-        self._update_worst()
+        self._track()
         return self.observation()
 
     def observation(self) -> np.ndarray:
         return np.concatenate([self.position, self.task.goal])
 
     def succeeded(self) -> bool:
-        """The success predicate: for some branch, every visited point lies
-        within ``delta`` of a template point and the current point within
-        ``eps`` of the template endpoint."""
+        """The success predicate: on some branch, every visited point lies
+        within ``DELTA`` of a template point, every template point was reached
+        in order (the agent came within ``DELTA`` of each after the one
+        before), and the current point lies within ``EPS`` of the endpoint."""
         for b, branch in enumerate(self.task.branches):
-            if self._worst[b] > self.task.delta:
-                continue
-            if np.linalg.norm(self.position - branch[-1]) <= self.task.eps:
+            if (
+                self._worst[b] <= DELTA
+                and self._reached[b] == len(branch) - 1
+                and np.linalg.norm(self.position - branch[-1]) <= EPS
+            ):
                 return True
         return False
