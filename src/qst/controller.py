@@ -19,6 +19,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint
 from .config import RunConfig
+from .data import history_rows
 from .errors import ArgumentError, ConfigurationError
 from .prior import load_pair
 from .tasks import PointEnv, get_task
@@ -88,10 +89,8 @@ class Policy:
 
 
 def stack_history(observations: list[np.ndarray], history: int) -> np.ndarray:
-    """Last ``history`` observations, left-padded by repeating the first."""
-    take = observations[-history:]
-    pad = [observations[0]] * (history - len(take))
-    return np.stack(pad + take, axis=0)
+    """The last ``history`` observations, as :func:`history_rows` picks them."""
+    return np.stack([observations[i] for i in history_rows(len(observations) - 1, history)])
 
 
 @dataclass

@@ -88,46 +88,44 @@ class TrajectoryDataset:
         )
 
 
-def window_starts(dataset: TrajectoryDataset, window: int) -> list[tuple[int, int]]:
-    """Stride-1 enumeration of (episode index, start step) full-length windows.
-
-    Episode tails shorter than ``window`` are discarded, never padded.
-    """
-    starts = []
-    for e, ep in enumerate(dataset.episodes):
-        for t in range(ep.length - window + 1):
-            starts.append((e, t))
-    return starts
+def history_rows(last, history: int) -> np.ndarray:
+    """Row indices of the ``history`` observations that end at row ``last``
+    (an int, or an int array for one history per entry), clipped at 0: a
+    history that reaches back before the first row repeats it."""
+    return np.maximum(np.asarray(last)[..., None] + np.arange(1 - history, 1), 0)
 
 
 def window_arrays(
     dataset: TrajectoryDataset, window: int, history: int = 1
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Materialize every window for training.
+    """Materialize every stride-1 window for training.
 
     Returns ``(actions, observations, task_ids, starts)`` with shapes
     (W, window, act_dim), (W, history, obs_dim), (W,) int task ids indexing
-    ``dataset.task_names()``, and the (W, 2) episode/step table.  Observation
-    histories before episode start repeat the first observation.
+    ``dataset.task_names()``, and the (W, 2) episode/step table, in episode
+    then step order.  Episode tails shorter than ``window`` are discarded,
+    never padded; observation histories follow :func:`history_rows`.
     """
     if not dataset.episodes:
         raise ArgumentError("dataset has no episodes")
-    starts = window_starts(dataset, window)
-    if not starts:
+    task_index = {n: i for i, n in enumerate(dataset.task_names())}
+    steps = np.arange(window)
+    parts = []
+    for e, ep in enumerate(dataset.episodes):
+        t = np.arange(ep.length - window + 1)
+        parts.append((
+            ep.actions[t[:, None] + steps],
+            ep.observations[history_rows(t, history)],
+            np.full(t.size, task_index[ep.task]),
+            np.stack([np.full_like(t, e), t], axis=1),
+        ))
+    dtypes = (np.float64, np.float64, np.int64, np.int64)
+    acts, obs, tasks, starts = (
+        np.concatenate(column, dtype=dtype) for column, dtype in zip(zip(*parts), dtypes)
+    )
+    if not tasks.size:
         raise ArgumentError(f"no episode is at least {window} steps long")
-    names = dataset.task_names()
-    task_index = {n: i for i, n in enumerate(names)}
-    w = len(starts)
-    acts = np.empty((w, window, dataset.act_dim))
-    obs = np.empty((w, history, dataset.obs_dim))
-    tasks = np.empty(w, dtype=np.int64)
-    for row, (e, t) in enumerate(starts):
-        ep = dataset.episodes[e]
-        acts[row] = ep.actions[t : t + window]
-        idx = np.clip(np.arange(t - history + 1, t + 1), 0, ep.length)
-        obs[row] = ep.observations[idx]
-        tasks[row] = task_index[ep.task]
-    return acts, obs, tasks, np.asarray(starts, dtype=np.int64)
+    return acts, obs, tasks, starts
 
 
 # -- file IO -------------------------------------------------------------------

@@ -219,10 +219,10 @@ class TestPipeline:
         header = lines[0].split(",")
         n, d = TINY.n_tokens, len(TINY.fsq_levels)
         assert len(header) == 3 + n * d
-        from qst.data import read_dataset, window_starts
+        from qst.data import read_dataset, window_arrays
 
         ds = read_dataset(out / "dataset.qstd")
-        assert len(lines) - 1 == len(window_starts(ds, TINY.T))
+        assert len(lines) - 1 == len(window_arrays(ds, TINY.T)[3])
 
     def test_export_embeddings_prefix_pairs_match(self, run_dir):
         # causal encoder: the first-window rows of prefix-sharing demos agree

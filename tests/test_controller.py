@@ -318,3 +318,11 @@ def test_stack_history_left_pads_with_first_observation():
     np.testing.assert_array_equal(out[1], obs[0])
     np.testing.assert_array_equal(out[2], obs[0])
     np.testing.assert_array_equal(out[3], obs[1])
+
+
+@pytest.mark.parametrize("history, rows", [(1, [2]), (2, [1, 2]), (3, [0, 1, 2])])
+def test_stack_history_takes_the_latest_observations(history, rows):
+    obs = [np.array([1.0, 1.0]), np.array([2.0, 2.0]), np.array([3.0, 3.0])]
+    out = stack_history(obs, history)
+    assert out.shape == (history, 2) and out.dtype == np.float64
+    np.testing.assert_array_equal(out, np.stack([obs[r] for r in rows]))

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from qst import tasks
-from qst.data import TrajectoryDataset, read_dataset, window_starts, write_dataset
+from qst.data import (
+    Episode,
+    TrajectoryDataset,
+    read_dataset,
+    window_arrays,
+    write_dataset,
+)
 from qst.errors import (
     ArgumentError,
     BadMagicError,
@@ -51,7 +57,7 @@ class TestGeneration:
     def test_window_count_arithmetic(self, suite):
         t = tasks.SEQUENCE_LENGTH
         expected = sum(ep.length - t + 1 for ep in suite.episodes)
-        assert len(window_starts(suite, t)) == expected
+        assert len(window_arrays(suite, t)[3]) == expected
 
     def test_actions_match_observation_deltas(self, suite):
         for ep in suite.episodes:
@@ -97,6 +103,56 @@ class TestGeneration:
         goal = tasks.get_task(ep.task).goal
         np.testing.assert_array_equal(ep.observations[0, 2:], goal)
         np.testing.assert_array_equal(ep.observations[-1, 2:], goal)
+
+
+def per_window_reference(dataset, window, history):
+    """``window_arrays`` written one window at a time."""
+    names = dataset.task_names()
+    starts = [
+        (e, t) for e, ep in enumerate(dataset.episodes) for t in range(ep.length - window + 1)
+    ]
+    acts = np.empty((len(starts), window, dataset.act_dim))
+    obs = np.empty((len(starts), history, dataset.obs_dim))
+    task_ids = np.empty(len(starts), dtype=np.int64)
+    for row, (e, t) in enumerate(starts):
+        ep = dataset.episodes[e]
+        acts[row] = ep.actions[t : t + window]
+        obs[row] = ep.observations[np.clip(np.arange(t - history + 1, t + 1), 0, ep.length)]
+        task_ids[row] = names.index(ep.task)
+    return acts, obs, task_ids, np.asarray(starts, dtype=np.int64)
+
+
+class TestWindowing:
+    WINDOW = 5
+
+    @staticmethod
+    def episode(rng, task, length, dtype=np.float64):
+        return Episode(
+            task,
+            rng.normal(size=(length + 1, 4)).astype(dtype),
+            rng.normal(size=(length, 2)).astype(dtype),
+        )
+
+    @pytest.mark.parametrize("history", [1, 3])
+    def test_arrays_are_bitwise_the_per_window_reference(self, history):
+        # tasks out of sorted order; episodes shorter than, as long as and
+        # longer than the window; one episode held in float32
+        rng = np.random.default_rng(4)
+        lengths = [("zigzag", 9), ("arc", 3), ("mid", 5), ("arc", 0), ("zigzag", 4), ("mid", 12)]
+        episodes = [self.episode(rng, task, n) for task, n in lengths]
+        episodes.append(self.episode(rng, "arc", 7, np.float32))
+        dataset = TrajectoryDataset(episodes)
+        got = window_arrays(dataset, self.WINDOW, history)
+        want = per_window_reference(dataset, self.WINDOW, history)
+        for g, w in zip(got, want, strict=True):
+            assert (g.dtype, g.shape) == (w.dtype, w.shape)
+            assert g.tobytes() == w.tobytes()
+
+    def test_no_episode_as_long_as_the_window_rejected(self):
+        rng = np.random.default_rng(0)
+        dataset = TrajectoryDataset([self.episode(rng, "arc", n) for n in (0, self.WINDOW - 1)])
+        with pytest.raises(ArgumentError, match="at least"):
+            window_arrays(dataset, self.WINDOW)
 
 
 def replay(path: np.ndarray, spec) -> tasks.PointEnv:
@@ -250,8 +306,6 @@ class TestDatasetIO:
             read_dataset(p)
 
     def test_empty_dataset_roundtrips_but_training_rejects(self, tmp_path):
-        from qst.data import window_arrays
-
         p = tmp_path / "empty.qstd"
         write_dataset(TrajectoryDataset([], seed=5), p)
         loaded = read_dataset(p)
