@@ -3,7 +3,7 @@
 Format: the magic line ``QSTCKPT 1``, optional ``# meta key = value`` and
 ``# cfg key = value`` lines (the embedded config snapshot), one line per
 parameter ``name<TAB>dtype<TAB>dim0,dim1,...<TAB>byte-offset``, a blank line,
-and the concatenated little-endian float32 blobs.
+and the little-endian float32 blobs, back to back in header order.
 """
 
 from __future__ import annotations
@@ -107,16 +107,19 @@ class Checkpoint:
         params: dict[str, np.ndarray] = {}
         end = 0
         for name, (dims, offset) in entries.items():
+            if offset != end:
+                raise DataFormatError(
+                    f"parameter '{name}' starts at byte {offset}, expected {end}: "
+                    "the blobs lie back to back in header order"
+                )
             count = int(np.prod(dims)) if dims else 1
-            nbytes = 4 * count
-            if offset + nbytes > len(payload):
+            end += 4 * count
+            if end > len(payload):
                 raise TruncatedFileError(
-                    f"parameter '{name}' needs bytes up to {offset + nbytes}, "
-                    f"payload holds {len(payload)}"
+                    f"parameter '{name}' needs bytes up to {end}, payload holds {len(payload)}"
                 )
             arr = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
             params[name] = arr.reshape(dims)
-            end = max(end, offset + nbytes)
         if end != len(payload):
             raise DataFormatError(
                 f"payload holds {len(payload)} bytes but parameters cover {end}"

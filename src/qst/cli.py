@@ -41,6 +41,15 @@ from .tensor import Tensor
 GRAD_CHECK_TOLERANCE = 1e-4
 
 
+def seed_arg(text: str) -> int:
+    """``--seed``: a non-negative integer, as ``np.random.SeedSequence``
+    takes; anything else is a usage error."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qst", description="Quantized skill-token policy harness."
@@ -49,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="path to a 'key = value' config file")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=seed_arg, default=0)
         p.add_argument("--out", default=".", help="run directory for artifacts")
 
     p = sub.add_parser("gen-data", help="generate the synthetic demonstration suite")

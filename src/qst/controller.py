@@ -187,10 +187,13 @@ def evaluate_suite(
     Episodes of one seed run in lockstep so model passes are batched; each
     episode owns its environment and its sampler stream derived from
     (seed, task, episode).  At least one episode and one seed are needed,
-    so that every task's success rate averages episodes that ran.
+    so that every task's success rate averages episodes that ran, and each
+    task is named once, so that none runs its episodes twice.
     """
     if episodes < 1:
         raise ArgumentError(f"episodes must be at least 1, got {episodes}")
+    if len(set(task_names)) != len(task_names):
+        raise ArgumentError(f"a task is named twice in {list(task_names)}")
     if not seeds:
         raise ArgumentError("no evaluation seeds given")
     results: list[RolloutResult] = []

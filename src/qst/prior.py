@@ -92,7 +92,7 @@ class SkillPrior:
         if not task_names:
             raise ArgumentError("the prior needs at least one task")
         self.cfg = cfg
-        self.task_names = list(task_names)
+        self.task_names = [_storable_task_name(name) for name in task_names]
         self.token_emb = Embedding(rng, cfg.vocab + 1, cfg.dim)
         self.task_table = normal_param(rng, 0.02, (len(task_names), cfg.dim))
         self.obs = ObservationEncoder(rng, cfg.obs_dim, cfg.dim)
@@ -114,7 +114,7 @@ class SkillPrior:
 
     def ensure_task(self, name: str, rng: np.random.Generator) -> int:
         """Return the task row, appending a fresh embedding row if unseen."""
-        if name in self.task_names:
+        if _storable_task_name(name) in self.task_names:
             return self.task_names.index(name)
         row = rng.normal(0.0, 0.02, size=(1, self.cfg.dim))
         self.task_table = Tensor(
@@ -274,6 +274,14 @@ class SkillPrior:
         return prior, cfg
 
 
+def _storable_task_name(name: str) -> str:
+    """``name``, if the comma-joined ``tasks`` checkpoint meta value can
+    carry it and give it back."""
+    if not name or "," in name:
+        raise ArgumentError(f"task name {name!r} must be non-empty and free of commas")
+    return name
+
+
 def _sample_top_k(logits: np.ndarray, k: int, temperature: float, rng) -> int:
     if k == 1:
         return int(np.argmax(logits))
@@ -348,6 +356,11 @@ def train_stage2(
     if len(dataset) == 0:
         raise ArgumentError("cannot train on an empty dataset")
     check_structural_match(cfg, stage1_ckpt, "stage-1")
+    prior = SkillPrior(
+        PriorConfig.from_run_config(cfg),
+        dataset.task_names(),
+        np.random.default_rng(np.random.SeedSequence((seed, 21))),
+    )
     autoencoder = SkillAutoencoder.from_checkpoint(stage1_ckpt)
     set_requires_grad(autoencoder.params(), False)
 
@@ -356,11 +369,6 @@ def train_stage2(
         raise DimensionError(f"dataset obs dim {obs.shape[-1]} != config {cfg.obs_dim}")
     targets = encode_targets(autoencoder, windows)
 
-    prior = SkillPrior(
-        PriorConfig.from_run_config(cfg),
-        dataset.task_names(),
-        np.random.default_rng(np.random.SeedSequence((seed, 21))),
-    )
     run_rng = np.random.default_rng(np.random.SeedSequence((seed, 22)))
     train_epochs(
         prior.params(),

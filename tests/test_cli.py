@@ -55,6 +55,14 @@ class TestExitCodes:
         assert err.value.code == 2
         assert "nope.cfg" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["gen-data", "eval", "grad-check"])
+    def test_negative_seed_is_usage_error(self, command, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--seed", "-2", "--out", str(tmp_path)])
+        assert err.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
     def test_runtime_failure_exits_1(self, tmp_path, capsys):
         # stage-1 training without a dataset
         code = main(["train-stage1", "--out", str(tmp_path)])
@@ -126,6 +134,17 @@ class TestPipeline:
         assert {r["seed"] for r in rollouts} == {0, 1}
         for r in rollouts:
             assert set(r) >= {"task", "seed", "success", "steps", "tokens"}
+
+    def test_eval_refuses_a_repeated_task_and_writes_nothing(self, run_dir, tmp_path, capsys):
+        out, cfg_path = run_dir
+        code = main([
+            "eval", "--tasks", "line-across,line-across", "--episodes", "2",
+            "--stage1", str(out / "stage1.ckpt"), "--stage2", str(out / "stage2.ckpt"),
+            "--config", str(cfg_path), "--seed", "0", "--out", str(tmp_path),
+        ])
+        assert code == 1
+        assert "named twice" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
 
     def test_refinetuning_a_finetuned_decoder_starts_from_it(self, run_dir, tmp_path):
         """Finetuning from a checkpoint whose decoder was finetuned: with the

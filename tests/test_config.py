@@ -214,6 +214,17 @@ class TestCheckpoint:
             Checkpoint.from_bytes(raw.replace(old, new, 1))
 
     @pytest.mark.parametrize(
+        "offsets,payload",
+        [((0, 0), 4), ((0, 8), 12), ((4, 0), 8)],
+        ids=["overlap", "gap", "out-of-order"],
+    )
+    def test_blobs_not_back_to_back_rejected(self, offsets, payload):
+        lines = "".join(f"{name}\tf32\t1\t{at}\n" for name, at in zip("ab", offsets))
+        raw = f"QSTCKPT 1\n{lines}\n".encode("ascii") + bytes(payload)
+        with pytest.raises(DataFormatError, match="back to back"):
+            Checkpoint.from_bytes(raw)
+
+    @pytest.mark.parametrize(
         "raw,match", [(b"QSTCKPT 1\n", "blank line"), (b"QSTCKPT 1\n# meta a = \xff\n\n", "ascii")]
     )
     def test_header_without_blank_line_or_ascii_rejected(self, raw, match):

@@ -1,12 +1,16 @@
 """Skill prior: context layout, causality, losses, sampling, freezing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from qst import optim, tasks
+from qst import prior as prior_module
 from qst.autoencoder import SkillAutoencoder, train_stage1
 from qst.config import RunConfig
 from qst.controller import Policy
+from qst.data import TrajectoryDataset
 from qst.errors import ArgumentError, ConfigurationError, DimensionError, RangeError
 from qst.gradcheck import grad_check_params
 from qst.nn import TransformerBlock
@@ -50,6 +54,22 @@ def test_param_names_and_order_are_pinned():
         + ["prior.ln_f.gain", "prior.ln_f.bias", "prior.head.weight", "prior.head.bias"]
     )
     assert list(small_prior().params()) == expected
+
+
+@pytest.mark.parametrize("name", ["s,curve", ""])
+def test_task_name_the_checkpoint_cannot_carry_refused(name):
+    """The prior stores its tasks as one comma-joined meta value."""
+    with pytest.raises(ArgumentError, match="task name"):
+        SkillPrior(PriorConfig(dim=24, layers=1, heads=2), ["a", name], None)
+    prior = small_prior()
+    with pytest.raises(ArgumentError, match="task name"):
+        prior.ensure_task(name, np.random.default_rng(0))
+    assert prior.task_names == ["a", "b"] and prior.task_table.shape[0] == 2
+
+
+def renamed(dataset, name):
+    """``dataset`` with every episode's task called ``name``."""
+    return TrajectoryDataset([dataclasses.replace(ep, task=name) for ep in dataset.episodes])
 
 
 class TestObservationEncoder:
@@ -442,11 +462,23 @@ class TestTrainStage2:
             train_stage2(ds, stage1, bad, seed=0)
 
     def test_empty_dataset_rejected(self, tiny_pipeline):
-        from qst.data import TrajectoryDataset
-
         cfg, _, stage1, _ = tiny_pipeline
         with pytest.raises(ArgumentError):
             train_stage2(TrajectoryDataset([]), stage1, cfg, seed=0)
+
+
+    @pytest.mark.parametrize("name", ["s,curve", ""])
+    def test_task_name_the_checkpoint_cannot_carry_refused_before_encoding(
+        self, tiny_pipeline, monkeypatch, name
+    ):
+        cfg, ds, stage1, _ = tiny_pipeline
+
+        def encode(*args):
+            raise AssertionError("windows were encoded before the refusal")
+
+        monkeypatch.setattr(prior_module, "encode_targets", encode)
+        with pytest.raises(ArgumentError, match="task name"):
+            train_stage2(renamed(ds, name), stage1, cfg, seed=0)
 
 
 class TestFinetune:
@@ -494,6 +526,13 @@ class TestFinetune:
         assert "zigzag" in out.meta["tasks"].split(",")
         prior, _ = SkillPrior.from_checkpoint(out)
         assert prior.task_table.shape[0] == 3
+
+    @pytest.mark.parametrize("name", ["s,curve", ""])
+    def test_task_name_the_checkpoint_cannot_carry_refused(self, tiny_pipeline, name):
+        cfg, _, stage1, stage2 = tiny_pipeline
+        demos = tasks.generate_suite(5, task_names=("zigzag",), demos_per_task=2)
+        with pytest.raises(ArgumentError, match="task name"):
+            finetune_fewshot(stage1, stage2, renamed(demos, name), cfg, seed=0)
 
     def test_stop_gradient_blocks_decoder_loss_from_prior(self, tiny_pipeline):
         from qst import tensor as T
