@@ -103,8 +103,8 @@ def window_arrays(
     Returns ``(actions, observations, task_ids, starts)`` with shapes
     (W, window, act_dim), (W, history, obs_dim), (W,) int task ids indexing
     ``dataset.task_names()``, and the (W, 2) episode/step table, in episode
-    then step order.  Episode tails shorter than ``window`` are discarded,
-    never padded; observation histories follow :func:`history_rows`.
+    then step order.  An episode shorter than ``window`` gives no window
+    (none is padded); observation histories follow :func:`history_rows`.
     """
     if not dataset.episodes:
         raise ArgumentError("dataset has no episodes")

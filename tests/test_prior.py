@@ -466,7 +466,6 @@ class TestTrainStage2:
         with pytest.raises(ArgumentError):
             train_stage2(TrajectoryDataset([]), stage1, cfg, seed=0)
 
-
     @pytest.mark.parametrize("name", ["s,curve", ""])
     def test_task_name_the_checkpoint_cannot_carry_refused_before_encoding(
         self, tiny_pipeline, monkeypatch, name
