@@ -394,4 +394,33 @@ def run_grad_check_suite(seed: int) -> float:
             lambda: prior.nll(np.zeros(2, dtype=int), obs, tgt), prior.params()
         ),
     )
+
+    # masked_attention along keys and values with distinct tensors, and in
+    # training mode with its dropout mask fixed by a generator made per call
+    # (the output takes the queries' dtype, so float64 queries keep the loss float64)
+    queries = T.cast(Tensor(rng.normal(size=(4, 6))), T.WIDE)
+    keys, values = Tensor(rng.normal(size=(4, 6))), Tensor(rng.normal(size=(4, 6)))
+    check(
+        "masked_attention_keys",
+        grad_check(
+            lambda t: T.masked_attention(queries, t, values, mask).tanh().sum(),
+            rng.normal(size=(4, 6)),
+        ),
+    )
+    check(
+        "masked_attention_values",
+        grad_check(
+            lambda t: T.masked_attention(queries, keys, t, mask).tanh().sum(),
+            rng.normal(size=(4, 6)),
+        ),
+    )
+    check(
+        "masked_attention_train",
+        grad_check(
+            lambda t: T.masked_attention(
+                t, keys, values, mask, 0.25, np.random.default_rng(seed + 3), True
+            ).tanh().sum(),
+            rng.normal(size=(4, 6)),
+        ),
+    )
     return worst

@@ -15,7 +15,9 @@ float32.  Ops compute in their operands' dtype, a non-tensor operand takes
 the tensor operand's dtype, and every backward closure returns each input's
 gradient in that input's dtype.  Float64 (:data:`WIDE`) stays where the
 numerics need it: :func:`masked_attention` runs its scores, softmax,
-dropout and value mix in float64; :func:`total`, :func:`mean` and
+dropout and value mix in float64 inside one graph node, which keeps only
+its inputs as given, the float64 probabilities and the boolean dropout mask;
+:func:`total`, :func:`mean` and
 :func:`cross_entropy` reduce in float64 and return a float64 scalar; and
 :func:`widened` lets the finite-difference oracle run a whole model in
 float64.  Integer index arrays (embedding lookups, classification targets)
@@ -519,9 +521,7 @@ def masked_softmax(scores: Tensor, mask: np.ndarray | None = None) -> Tensor:
         shifted = scores.data - scores.data.max(axis=-1, keepdims=True)
         expd = np.exp(shifted)
     else:
-        mask = np.asarray(mask, dtype=bool)
-        if not mask.any(axis=-1).all():
-            raise ConfigurationError("attention mask has a row with no allowed position")
+        mask = _row_mask(mask)
         neg = np.where(mask, scores.data, -np.inf)
         shifted = neg - neg.max(axis=-1, keepdims=True)
         expd = np.where(mask, np.exp(shifted), 0.0)
@@ -532,6 +532,14 @@ def masked_softmax(scores: Tensor, mask: np.ndarray | None = None) -> Tensor:
         return (probs * (g - inner),)
 
     return _op(probs, (scores,), backward)
+
+
+def _row_mask(mask) -> np.ndarray:
+    """``mask`` as booleans, refused if a row allows no position."""
+    mask = np.asarray(mask, dtype=bool)
+    if not mask.any(axis=-1).all():
+        raise ConfigurationError("attention mask has a row with no allowed position")
+    return mask
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -571,10 +579,14 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None, training: bool
     """Zero elements with probability p and rescale; identity at evaluation."""
     if not training or p <= 0.0:
         return x
+    return mul(x, _wrap(_keep_mask(x.shape, p, rng) / (1.0 - p), x))
+
+
+def _keep_mask(shape: tuple[int, ...], p: float, rng: np.random.Generator | None) -> np.ndarray:
+    """The boolean dropout mask: each element kept with probability 1 - p."""
     if rng is None:
         raise ConfigurationError("dropout in training mode needs the run's generator")
-    keep = (rng.random(x.shape) >= p) / (1.0 - p)
-    return mul(x, _wrap(keep, x))
+    return rng.random(shape) >= p
 
 
 def causal_conv1d(x: Tensor, kernel: Tensor, stride: int) -> Tensor:
@@ -634,29 +646,69 @@ def masked_attention(
 
     Each output row is a combination of value rows j with mask[i][j] True:
     convex at evaluation, and in training mode with the attention
-    probabilities passed through ``dropout(p, rng, training)``.  Shapes are
-    (..., Tq, D) / (..., Tk, D) with a (Tq, Tk)-broadcastable boolean mask.
+    probabilities passed through dropout as :func:`dropout` draws it.
+    Shapes are (..., Tq, D) / (..., Tk, D) with a (Tq, Tk)-broadcastable
+    boolean mask.
 
-    Scores, softmax, dropout and the value mix run in float64 and the result
-    has the queries' dtype.  The batch shape and masked-out positions then
-    move a row's result only far below float32 resolution, so the prior's
-    cached sampler and its teacher-forced pass give the same float32 logits.
+    One graph node.  Scores, softmax, dropout and the value mix run in
+    float64 inside it, in the order and with the values of the composition
+    ``cast``, ``matmul``, ``mul``, ``masked_softmax``, ``dropout``,
+    ``matmul``, ``cast``; the result has the queries' dtype.  The batch
+    shape and masked-out positions then move a row's result only far below
+    float32 resolution, so the prior's cached sampler and its teacher-forced
+    pass give the same float32 logits.  The node keeps the three input
+    arrays as given, the float64 probabilities and the boolean dropout mask;
+    its backward widens q, k and v again.
     """
     if keys.shape[-1] != queries.shape[-1]:
         raise DimensionError("queries and keys must share the feature dimension")
     if values.shape[-2] != keys.shape[-2]:
         raise DimensionError("keys and values must share the sequence length")
-    q, k, v = cast(queries, WIDE), cast(keys, WIDE), cast(values, WIDE)
+    if mask is not None:
+        mask = _row_mask(mask)
+    qa, ka, va = queries.data, keys.data, values.data
     scale = 1.0 / np.sqrt(queries.shape[-1])
-    scores = mul(matmul(q, transpose(k, _swap_last(k.ndim))), _wrap(scale, q))
-    probs = dropout(masked_softmax(scores, mask), p, rng, training)
-    return cast(matmul(probs, v), queries.data.dtype)
+    probs = np.matmul(_widen(qa), np.swapaxes(_widen(ka), -1, -2))
+    probs *= scale
+    if mask is not None:
+        np.copyto(probs, -np.inf, where=~mask)  # exp(-inf) is exactly 0 below
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    keep = _keep_mask(probs.shape, p, rng) if training and p > 0.0 else None
+    out = np.matmul(_dropped(probs, keep, p), _widen(va))
+
+    def backward(g):
+        g = _widen(g)
+        dropped = _dropped(probs, keep, p)
+        gv = np.matmul(np.swapaxes(dropped, -1, -2), g)
+        gv = _unbroadcast(gv, va.shape).astype(va.dtype, copy=False)
+        grad = _unbroadcast(np.matmul(g, np.swapaxes(_widen(va), -1, -2)), probs.shape)
+        if keep is not None:
+            grad *= keep / (1.0 - p)
+        grad -= (grad * probs).sum(axis=-1, keepdims=True)  # softmax
+        grad *= probs
+        grad *= scale
+        gq = _unbroadcast(np.matmul(grad, _widen(ka)), qa.shape).astype(qa.dtype, copy=False)
+        gk = np.matmul(np.swapaxes(_widen(qa), -1, -2), grad)
+        gk = np.swapaxes(_unbroadcast(gk, np.swapaxes(ka, -1, -2).shape), -1, -2)
+        return gq, gk.astype(ka.dtype, copy=False), gv
+
+    return _op(out.astype(qa.dtype, copy=False), (queries, keys, values), backward)
 
 
-def _swap_last(ndim: int) -> tuple[int, ...]:
-    axes = list(range(ndim))
-    axes[-1], axes[-2] = axes[-2], axes[-1]
-    return tuple(axes)
+def _widen(a: np.ndarray) -> np.ndarray:
+    return a.astype(WIDE, copy=False)
+
+
+def _dropped(probs: np.ndarray, keep: np.ndarray | None, p: float) -> np.ndarray:
+    """``probs`` after the dropout mask ``keep`` (None: no dropout), with the
+    values of ``probs * (keep / (1 - p))``."""
+    if keep is None:
+        return probs
+    scaled = keep / (1.0 - p)
+    scaled *= probs
+    return scaled
 
 
 def sinusoidal_table(length: int, dim: int) -> np.ndarray:

@@ -32,16 +32,30 @@ def reference_attention(attn, x, kv, mask, rng, training):
 @pytest.mark.parametrize("cross", [False, True], ids=["self-causal", "cross-unmasked"])
 @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
 def test_multi_head_attention_matches_reference_bitwise(cross, training):
+    """Outputs, and the gradients of one upstream gradient sent back through
+    both, are bitwise the reference's."""
     rng = np.random.default_rng(0)
     attn = MultiHeadAttention(rng, dim=12, heads=3, dropout=0.25)
-    x = Tensor(rng.normal(size=(2, 5, 12)))
-    kv = Tensor(rng.normal(size=(2, 4, 12))) if cross else None
+    x = Tensor(rng.normal(size=(2, 5, 12)), requires_grad=True)
+    kv = Tensor(rng.normal(size=(2, 4, 12)), requires_grad=True) if cross else None
     mask = None if cross else causal_mask(5)
 
     out = attn(x, kv=kv, mask=mask, rng=np.random.default_rng(7), training=training)
     ref = reference_attention(attn, x, kv, mask, np.random.default_rng(7), training)
     assert out.shape == (2, 5, 12)
     np.testing.assert_array_equal(out.data, ref.data)
+
+    upstream = rng.normal(size=out.shape)
+    leaves = [x] + ([kv] if cross else []) + list(named_params(attn).values())
+    grads = []
+    for result in (out, ref):
+        for leaf in leaves:
+            leaf.grad = None
+        result.backward(upstream)
+        grads.append([leaf.grad for leaf in leaves])
+    for got, want in zip(*grads):
+        assert got.dtype == want.dtype == np.float32
+        np.testing.assert_array_equal(got, want)
 
     evaluated = attn(x, kv=kv, mask=mask).data
     assert np.array_equal(out.data, evaluated) != training  # dropout acts only in training

@@ -202,13 +202,38 @@ class TestMaskedAttention:
         np.testing.assert_allclose(out.data, np.tile(v, (3, 1)), atol=1e-12)
 
     def test_gradients(self):
+        """Along queries, keys and values, at evaluation and with a dropout
+        mask fixed by a generator made per call."""
         rng = np.random.default_rng(11)
-        k = Tensor(rng.normal(size=(4, 3)))
-        v = Tensor(rng.normal(size=(4, 3)))
+        points = [rng.normal(size=(4, 3)) for _ in range(3)]
         mask = np.tril(np.ones((4, 4), dtype=bool))
-        q = rng.normal(size=(4, 3))
-        err = grad_check(lambda t: T.masked_attention(t, k, v, mask).tanh().sum(), q)
-        assert err < 1e-4
+        for along in range(3):
+            for training in (False, True):
+
+                def loss(t):
+                    args = [T.cast(Tensor(point), np.float64) for point in points]
+                    args[along] = t
+                    dropout_rng = np.random.default_rng(3)
+                    return T.masked_attention(*args, mask, 0.25, dropout_rng, training).tanh().sum()
+
+                assert grad_check(loss, points[along]) < 1e-4, (along, training)
+
+    def test_node_keeps_float32_inputs_probabilities_and_boolean_mask(self):
+        rng = np.random.default_rng(15)
+        q, k, v = (Tensor(rng.normal(size=(2, 3, 5, 4)), requires_grad=True) for _ in range(3))
+        mask = np.tril(np.ones((5, 5), dtype=bool))
+        out = T.masked_attention(q, k, v, mask, 0.5, np.random.default_rng(0), True)
+        backward, parents = out._node
+        assert [parent is t for parent, t in zip(parents, (q, k, v))] == [True] * 3  # one node
+        kept = [
+            cell.cell_contents
+            for cell in backward.__closure__
+            if isinstance(cell.cell_contents, np.ndarray)
+        ]
+        shaped_like_inputs = [a for a in kept if a.shape == q.shape]
+        assert len(shaped_like_inputs) == 3
+        assert all(a.dtype == np.float32 for a in shaped_like_inputs)
+        assert sorted(str(a.dtype) for a in kept if a.shape == (2, 3, 5, 5)) == ["bool", "float64"]
 
 
 class TestCausalConv1d:
