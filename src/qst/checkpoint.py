@@ -87,6 +87,8 @@ class Checkpoint:
         for line in lines[1:]:
             if line.startswith("# meta "):
                 key, _, value = line[len("# meta ") :].partition(" = ")
+                if key in meta:
+                    raise DataFormatError(f"meta key '{key}' is given twice")
                 meta[key] = value
             elif line.startswith("# cfg "):
                 cfg_lines.append(line[len("# cfg ") :])
@@ -99,8 +101,8 @@ class Checkpoint:
                     raise DataFormatError(f"unsupported dtype {dtype!r} for '{name}'")
                 if name in entries:
                     raise DataFormatError(f"parameter '{name}' is listed twice")
-                dims = tuple(
-                    header_int(d, f"dimension of '{name}'") for d in dims_text.split(",") if d
+                dims = () if not dims_text else tuple(
+                    header_int(d, f"dimension of '{name}'") for d in dims_text.split(",")
                 )
                 entries[name] = (dims, header_int(offset_text, f"offset of '{name}'"))
 

@@ -141,6 +141,7 @@ class RunConfig:
     def from_text(cls, text: str) -> "RunConfig":
         known = {f.name: f for f in fields(cls)}
         values = {}
+        first_line: dict[str, int] = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -151,6 +152,11 @@ class RunConfig:
             key = key.strip()
             if key not in known:
                 raise ConfigurationError(f"line {lineno}: unknown config key '{key}'")
+            if key in first_line:
+                raise ConfigurationError(
+                    f"lines {first_line[key]} and {lineno}: config key '{key}' is given twice"
+                )
+            first_line[key] = lineno
             values[key] = _parse_value(known[key], value.strip(), lineno)
         return cls(**values)
 
@@ -202,7 +208,7 @@ def _parse_value(key, text: str, lineno: int):
         if kind == "float":
             return float(text)
         if kind.startswith("tuple"):
-            return tuple(int(part) for part in text.split(",") if part.strip())
+            return tuple(int(part) for part in text.split(",")) if text else ()
         return text
     except ValueError as exc:
         raise ConfigurationError(f"line {lineno}: bad value for '{key.name}': {exc}") from None

@@ -25,7 +25,7 @@ from .autoencoder import ENCODE_BATCH, SkillAutoencoder
 from .checkpoint import Checkpoint
 from .config import RunConfig
 from .data import TrajectoryDataset, window_arrays
-from .errors import ArgumentError, ConfigurationError, DimensionError, RangeError
+from .errors import ArgumentError, ConfigurationError, DataFormatError, DimensionError, RangeError
 from .metrics import MetricsWriter
 from .nn import (
     Embedding,
@@ -93,6 +93,8 @@ class SkillPrior:
             raise ArgumentError("the prior needs at least one task")
         self.cfg = cfg
         self.task_names = [_storable_task_name(name) for name in task_names]
+        if len(set(task_names)) != len(task_names):
+            raise ArgumentError(f"task names {task_names!r} repeat a name")
         self.token_emb = Embedding(rng, cfg.vocab + 1, cfg.dim)
         self.task_table = normal_param(rng, 0.02, (len(task_names), cfg.dim))
         self.obs = ObservationEncoder(rng, cfg.obs_dim, cfg.dim)
@@ -268,6 +270,10 @@ class SkillPrior:
         task_names = ckpt.meta.get("tasks", "").split(",")
         if task_names == [""]:
             raise ConfigurationError("checkpoint is missing its task list")
+        if "" in task_names or len(set(task_names)) != len(task_names):
+            raise DataFormatError(
+                f"checkpoint meta 'tasks' = {ckpt.meta['tasks']!r} has an empty or repeated name"
+            )
         prior = cls(PriorConfig.from_run_config(cfg), task_names, None)
         arrays = {k: v for k, v in ckpt.params.items() if k.startswith("prior.")}
         load_params(prior.params(), arrays)

@@ -12,6 +12,7 @@ from qst.config import RunConfig
 from qst.controller import Policy
 
 from test_autoencoder import tiny_config
+from test_config import overridden
 
 
 TINY = tiny_config(
@@ -268,7 +269,7 @@ class TestAblationFlags:
     def test_encoder_causal_off_is_recorded_in_checkpoint(self, tmp_path):
         out = tmp_path
         cfg_path = out / "tiny.cfg"
-        cfg_path.write_text(TINY.snapshot() + "encoder_causal = off\ndecoder_causal = off\n")
+        cfg_path.write_text(overridden(TINY, encoder_causal="off", decoder_causal="off"))
         argv = ["--config", str(cfg_path), "--seed", "0", "--out", str(out)]
         assert main(["gen-data", *argv]) == 0
         assert main(["train-stage1", *argv]) == 0

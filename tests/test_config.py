@@ -19,6 +19,13 @@ from test_autoencoder import tiny_config
 SMALL = tiny_config(T=32, conv_kernels=(5, 3, 3), conv_strides=(2, 2, 1))
 
 
+def overridden(cfg: RunConfig, **lines) -> str:
+    """``cfg``'s snapshot with the line of each named key replaced by
+    ``key = value``, appended at the end."""
+    kept = [line for line in cfg.snapshot().splitlines() if line.partition(" = ")[0] not in lines]
+    return "\n".join(kept + [f"{key} = {value}" for key, value in lines.items()]) + "\n"
+
+
 class TestRunConfig:
     def test_defaults_carry_published_values(self):
         cfg = RunConfig()
@@ -107,29 +114,31 @@ class TestRunConfig:
             ("fsq_levels", "1,1000"),
             ("fsq_levels", "2,500"),
             ("fsq_levels", ""),
+            ("fsq_levels", "8,,5,5,5"),
             ("T", "abc"),
             ("encoder_causal", "maybe"),
             ("execution_horizon", "33"),
             ("optimizer", "sgd"),
+            pytest.param("learning_rate", "0.1\nlearning_rate = 0.001", id="learning_rate-twice"),
         ],
     )
     def test_bad_value_refused_at_parse(self, key, value):
-        text = SMALL.snapshot() + f"{key} = {value}\n"
+        text = overridden(SMALL, **{key: value})
         with pytest.raises(ConfigurationError, match=key) as err:
             RunConfig.from_text(text)
         assert "top_k" not in str(err.value)  # each refusal names the key at fault
 
     def test_top_k_above_vocabulary_refused_at_parse(self):
-        text = SMALL.snapshot() + f"top_k = {SMALL.vocab_size + 1}\n"
+        text = overridden(SMALL, top_k=SMALL.vocab_size + 1)
         with pytest.raises(ConfigurationError, match=r"top_k must lie in \[1, vocab size\]"):
             RunConfig.from_text(text)
 
     def test_zero_epochs_and_window_caps_are_valid(self):
-        text = SMALL.snapshot() + "".join(
-            f"{key} = 0\n"
+        text = overridden(SMALL, **{
+            key: 0
             for key in ("stage1_epochs", "stage2_epochs", "finetune_epochs",
                         "stage1_windows_per_epoch", "stage2_windows_per_epoch")
-        )
+        })
         assert RunConfig.from_text(text).stage2_windows_per_epoch == 0
 
 
@@ -199,19 +208,27 @@ class TestCheckpoint:
         "old,new,match",
         [
             (b"\t3,4\t0", b"\t3,a\t0", "integer"),
+            (b"\t3,4\t0", b"\t3,,4\t0", "integer"),
             (b"\t7\t48", b"\t7\tx", "integer"),
             (b"\t7\t48", b"\t7\t-48", "offset"),
             (b"decoder.b\t", b"encoder.w\t", "twice"),
             (b"\t7\t48", b"\t7", "malformed"),
             (b"decoder.b\tf32", b"decoder.b\tf16", "dtype"),
         ],
-        ids=["dims", "offset", "negative-offset", "repeated-name", "three-fields", "f16"],
+        ids=["dims", "empty-dim", "offset", "negative-offset", "repeated-name", "three-fields", "f16"],
     )
     def test_bad_parameter_line_rejected(self, old, new, match):
         raw = self._make().to_bytes()
         assert old in raw
         with pytest.raises(DataFormatError, match=match):
             Checkpoint.from_bytes(raw.replace(old, new, 1))
+
+    def test_repeated_meta_key_rejected(self):
+        raw = self._make().to_bytes()
+        line = b"# meta stage = stage1\n"
+        assert line in raw
+        with pytest.raises(DataFormatError, match="'stage' is given twice"):
+            Checkpoint.from_bytes(raw.replace(line, line + b"# meta stage = stage2\n", 1))
 
     @pytest.mark.parametrize(
         "offsets,payload",

@@ -11,7 +11,13 @@ from qst.autoencoder import SkillAutoencoder, train_stage1
 from qst.config import RunConfig
 from qst.controller import Policy
 from qst.data import TrajectoryDataset
-from qst.errors import ArgumentError, ConfigurationError, DimensionError, RangeError
+from qst.errors import (
+    ArgumentError,
+    ConfigurationError,
+    DataFormatError,
+    DimensionError,
+    RangeError,
+)
 from qst.gradcheck import grad_check_params
 from qst.nn import TransformerBlock
 from qst.prior import (
@@ -65,6 +71,11 @@ def test_task_name_the_checkpoint_cannot_carry_refused(name):
     with pytest.raises(ArgumentError, match="task name"):
         prior.ensure_task(name, np.random.default_rng(0))
     assert prior.task_names == ["a", "b"] and prior.task_table.shape[0] == 2
+
+
+def test_repeated_task_name_refused():
+    with pytest.raises(ArgumentError, match="repeat"):
+        SkillPrior(PriorConfig(dim=24, layers=1, heads=2), ["x", "x"], np.random.default_rng(0))
 
 
 def renamed(dataset, name):
@@ -211,9 +222,9 @@ class TestNll:
 
 
 class TestFromCheckpoint:
-    def _checkpoint(self):
+    def _checkpoint(self, tasks=("a",)):
         cfg = tiny_config()
-        prior = SkillPrior(PriorConfig.from_run_config(cfg), ["a"], np.random.default_rng(0))
+        prior = SkillPrior(PriorConfig.from_run_config(cfg), list(tasks), np.random.default_rng(0))
         return prior.to_checkpoint(cfg, {})
 
     def test_missing_parameter_is_configuration_error(self):
@@ -266,6 +277,14 @@ class TestFromCheckpoint:
         ckpt = self._checkpoint()
         del ckpt.meta["tasks"]
         with pytest.raises(ConfigurationError, match="task list"):
+            SkillPrior.from_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("tasks", ["a,a", "a,,b"])
+    def test_empty_or_repeated_task_name_is_format_error(self, tasks):
+        """One table row per name, as the prior's constructor made it."""
+        ckpt = self._checkpoint(tasks=("a", "b", "c")[: tasks.count(",") + 1])
+        ckpt.meta["tasks"] = tasks
+        with pytest.raises(DataFormatError, match="'tasks'"):
             SkillPrior.from_checkpoint(ckpt)
 
     def test_autoencoder_missing_parameter_is_configuration_error(self):
