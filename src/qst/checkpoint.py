@@ -9,17 +9,13 @@ and the little-endian float32 blobs, back to back in header order.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import header_int, split_header
-from .errors import (
-    BadMagicError,
-    DataFormatError,
-    TruncatedFileError,
-    VersionError,
-)
+from .data import header_int, payload_chunks, read_payload, split_header
+from .errors import BadMagicError, DataFormatError, VersionError
 
 MAGIC = "QSTCKPT 1"
 
@@ -45,15 +41,13 @@ class Checkpoint:
         for cfg_line in self.config_text.splitlines():
             if cfg_line.strip():
                 lines.append(f"# cfg {cfg_line}")
-        arrays = [np.ascontiguousarray(arr, dtype="<f4") for arr in self.params.values()]
         offset = 0
-        for name, arr in zip(self.params, arrays):
+        for name, arr in self.params.items():
             dims = ",".join(str(d) for d in arr.shape)
             lines.append(f"{name}\tf32\t{dims}\t{offset}")
-            offset += arr.nbytes
+            offset += 4 * arr.size
         yield ("\n".join(lines) + "\n\n").encode("ascii")
-        for arr in arrays:
-            yield arr.reshape(-1).data
+        yield from payload_chunks(self.params.values())
 
     def to_bytes(self) -> bytes:
         return b"".join(self.chunks())
@@ -83,7 +77,8 @@ class Checkpoint:
 
         meta: dict[str, str] = {}
         cfg_lines: list[str] = []
-        entries: dict[str, tuple[tuple[int, ...], int]] = {}
+        entries: dict[str, tuple[int, ...]] = {}
+        end = 0
         for line in lines[1:]:
             if line.startswith("# meta "):
                 key, _, value = line[len("# meta ") :].partition(" = ")
@@ -104,26 +99,15 @@ class Checkpoint:
                 dims = () if not dims_text else tuple(
                     header_int(d, f"dimension of '{name}'") for d in dims_text.split(",")
                 )
-                entries[name] = (dims, header_int(offset_text, f"offset of '{name}'"))
+                offset = header_int(offset_text, f"offset of '{name}'")
+                if offset != end:
+                    raise DataFormatError(
+                        f"parameter '{name}' starts at byte {offset}, expected {end}: "
+                        "the blobs lie back to back in header order"
+                    )
+                entries[name] = dims
+                end += 4 * math.prod(dims)
 
-        params: dict[str, np.ndarray] = {}
-        end = 0
-        for name, (dims, offset) in entries.items():
-            if offset != end:
-                raise DataFormatError(
-                    f"parameter '{name}' starts at byte {offset}, expected {end}: "
-                    "the blobs lie back to back in header order"
-                )
-            count = int(np.prod(dims)) if dims else 1
-            end += 4 * count
-            if end > len(payload):
-                raise TruncatedFileError(
-                    f"parameter '{name}' needs bytes up to {end}, payload holds {len(payload)}"
-                )
-            arr = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
-            params[name] = arr.reshape(dims)
-        if end != len(payload):
-            raise DataFormatError(
-                f"payload holds {len(payload)} bytes but parameters cover {end}"
-            )
+        shapes = [(f"parameter '{name}'", dims) for name, dims in entries.items()]
+        params = dict(zip(entries, read_payload(payload, shapes, "checkpoint")))
         return cls(params=params, meta=meta, config_text="\n".join(cfg_lines) + ("\n" if cfg_lines else ""))

@@ -10,6 +10,7 @@ order.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -153,6 +154,32 @@ def split_header(raw: bytes, what: str) -> tuple[list[str], bytes]:
     return header.splitlines(), raw[split + 2 :]
 
 
+def payload_chunks(arrays):
+    """The payload of a dataset or checkpoint file: each array's
+    little-endian float32 bytes as a memoryview, back to back in the given
+    order (no copy for an array that already is contiguous ``<f4``)."""
+    for arr in arrays:
+        yield np.ascontiguousarray(arr, dtype="<f4").reshape(-1).data
+
+
+def read_payload(payload: bytes, shapes, what: str) -> list[np.ndarray]:
+    """Split ``payload`` into read-only ``<f4`` views of the ``(label,
+    shape)`` pairs its header declares, in header order.  A payload shorter
+    than the shapes need raises :class:`TruncatedFileError`, a longer one
+    :class:`DataFormatError`."""
+    sizes = [math.prod(shape) for _, shape in shapes]
+    need = 4 * sum(sizes)
+    if len(payload) != need:
+        error = TruncatedFileError if len(payload) < need else DataFormatError
+        raise error(f"{what} payload holds {len(payload)} bytes, header requires {need}")
+    flat = np.frombuffer(payload, dtype="<f4")
+    views, start = [], 0
+    for (_, shape), size in zip(shapes, sizes):
+        views.append(flat[start : start + size].reshape(shape))
+        start += size
+    return views
+
+
 def write_dataset(dataset: TrajectoryDataset, path) -> None:
     lines = [f"{MAGIC_PREFIX}{FORMAT_VERSION}"]
     lines.append(f"seed {dataset.seed}")
@@ -164,14 +191,11 @@ def write_dataset(dataset: TrajectoryDataset, path) -> None:
     for ep in dataset.episodes:
         lines.append(f"episode {ep.length} {ep.task}")
     header = "\n".join(lines) + "\n\n"
-    blobs = []
-    for ep in dataset.episodes:
-        blobs.append(ep.observations.astype("<f4").tobytes())
-        blobs.append(ep.actions.astype("<f4").tobytes())
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        for blob in blobs:
-            fh.write(blob)
+        fh.writelines(
+            payload_chunks(a for ep in dataset.episodes for a in (ep.observations, ep.actions))
+        )
 
 
 def read_dataset(path) -> TrajectoryDataset:
@@ -205,28 +229,13 @@ def read_dataset(path) -> TrajectoryDataset:
         )
 
     obs_dim, act_dim = fields["obs_dim"], fields["act_dim"]
-    expected = sum(
-        4 * ((length + 1) * obs_dim + length * act_dim) for length, _ in episode_meta
-    )
-    if len(payload) != expected:
-        raise TruncatedFileError(
-            f"payload holds {len(payload)} bytes, header requires {expected}"
-        )
-
-    episodes = []
-    offset = 0
-    for length, task in episode_meta:
-        n_obs = (length + 1) * obs_dim
-        obs = np.frombuffer(payload, dtype="<f4", count=n_obs, offset=offset)
-        offset += 4 * n_obs
-        n_act = length * act_dim
-        act = np.frombuffer(payload, dtype="<f4", count=n_act, offset=offset)
-        offset += 4 * n_act
-        episodes.append(
-            Episode(
-                task=task,
-                observations=obs.astype(np.float64).reshape(length + 1, obs_dim),
-                actions=act.astype(np.float64).reshape(length, act_dim),
-            )
-        )
+    shapes = []
+    for e, (length, _) in enumerate(episode_meta):
+        shapes.append((f"episode {e} observations", (length + 1, obs_dim)))
+        shapes.append((f"episode {e} actions", (length, act_dim)))
+    arrays = read_payload(payload, shapes, "dataset")
+    episodes = [
+        Episode(task=task, observations=obs.astype(np.float64), actions=act.astype(np.float64))
+        for (_, task), obs, act in zip(episode_meta, arrays[0::2], arrays[1::2])
+    ]
     return TrajectoryDataset(episodes=episodes, seed=fields["seed"])
