@@ -165,19 +165,20 @@ def payload_chunks(arrays):
 def read_payload(payload: bytes, shapes, what: str) -> list[np.ndarray]:
     """Split ``payload`` into read-only ``<f4`` views of the ``(label,
     shape)`` pairs its header declares, in header order.  A payload shorter
-    than the shapes need raises :class:`TruncatedFileError`, a longer one
-    :class:`DataFormatError`."""
+    than the shapes need raises :class:`TruncatedFileError`; a longer one,
+    or a non-finite value (named by its label), :class:`DataFormatError`."""
     sizes = [math.prod(shape) for _, shape in shapes]
     need = 4 * sum(sizes)
     if len(payload) != need:
         error = TruncatedFileError if len(payload) < need else DataFormatError
         raise error(f"{what} payload holds {len(payload)} bytes, header requires {need}")
     flat = np.frombuffer(payload, dtype="<f4")
-    views, start = [], 0
-    for (_, shape), size in zip(shapes, sizes):
-        views.append(flat[start : start + size].reshape(shape))
-        start += size
-    return views
+    ends = np.cumsum(sizes, dtype=np.int64)
+    if flat.size and not (np.isfinite(flat.max()) and np.isfinite(flat.min())):
+        first = np.flatnonzero(~np.isfinite(flat))[0]
+        label = shapes[np.searchsorted(ends, first, side="right")][0]
+        raise DataFormatError(f"{what} {label} holds a non-finite value")
+    return [part.reshape(shape) for part, (_, shape) in zip(np.split(flat, ends[:-1]), shapes)]
 
 
 def write_dataset(dataset: TrajectoryDataset, path) -> None:
@@ -215,8 +216,12 @@ def read_dataset(path) -> TrajectoryDataset:
         key, _, rest = line.partition(" ")
         if key == "episode":
             length_text, _, task = rest.partition(" ")
+            if not task:
+                raise DataFormatError(f"episode line {line!r} names no task")
             episode_meta.append((header_int(length_text, "episode length"), task))
         elif key in ("seed", "episodes", "obs_dim", "act_dim"):
+            if key in fields:
+                raise DataFormatError(f"header field '{key}' is given twice")
             fields[key] = header_int(rest, key, signed=key == "seed")
         else:
             raise DataFormatError(f"unknown header line {line!r}")

@@ -147,6 +147,23 @@ class TestPipeline:
         assert "named twice" in capsys.readouterr().err
         assert not os.listdir(tmp_path)
 
+    def test_eval_refuses_a_non_finite_checkpoint_and_writes_nothing(self, run_dir, tmp_path, capsys):
+        out, cfg_path = run_dir
+        stage2 = Checkpoint.load(out / "stage2.ckpt")
+        bias = stage2.params["prior.head.bias"].copy()
+        bias[0] = np.nan
+        poisoned = tmp_path / "poisoned.ckpt"
+        Checkpoint({**stage2.params, "prior.head.bias": bias}, stage2.meta, stage2.config_text).save(poisoned)
+        dest = tmp_path / "run"
+        code = main([
+            "eval", "--tasks", "line-across", "--episodes", "2",
+            "--stage1", str(out / "stage1.ckpt"), "--stage2", str(poisoned),
+            "--config", str(cfg_path), "--seed", "0", "--out", str(dest),
+        ])
+        assert code == 1
+        assert "error: checkpoint parameter 'prior.head.bias' holds a non-finite" in capsys.readouterr().err
+        assert not os.listdir(dest)
+
     def test_refinetuning_a_finetuned_decoder_starts_from_it(self, run_dir, tmp_path):
         """Finetuning from a checkpoint whose decoder was finetuned: with the
         decoder off, the output ships that decoder unchanged and the policy

@@ -201,8 +201,27 @@ class TestCheckpoint:
         ckpt = self._make()
         path = tmp_path / "a.ckpt"
         path.write_bytes(ckpt.to_bytes() + b"\x00\x00\x00\x00")
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataFormatError, match="holds 80 bytes, header requires 76") as err:
             Checkpoint.load(path)
+        assert not isinstance(err.value, TruncatedFileError)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_payload_rejected(self, value):
+        ckpt = self._make()
+        bias = ckpt.params["decoder.b"].copy()
+        bias[3] = value
+        ckpt.params["decoder.b"] = bias
+        with pytest.raises(DataFormatError, match="checkpoint parameter 'decoder.b' holds a non-finite"):
+            Checkpoint.from_bytes(ckpt.to_bytes())
+
+    def test_scalar_and_empty_parameters_roundtrip_bitwise(self):
+        params = {"scalar": np.float32(-2.5), "empty": np.zeros((0, 3)), "w": np.ones((2, 2))}
+        raw = Checkpoint({k: np.asarray(v, dtype="<f4") for k, v in params.items()}).to_bytes()
+        assert b"scalar\tf32\t\t0\nempty\tf32\t0,3\t4\nw\tf32\t2,2\t4\n" in raw
+        loaded = Checkpoint.from_bytes(raw)
+        assert loaded.to_bytes() == raw
+        assert {k: v.shape for k, v in loaded.params.items()} == {"scalar": (), "empty": (0, 3), "w": (2, 2)}
+        assert loaded.params["scalar"] == np.float32(-2.5)
 
     @pytest.mark.parametrize(
         "old,new,match",

@@ -257,6 +257,39 @@ class TestDatasetIO:
         with pytest.raises(TruncatedFileError, match=r"\d+ bytes"):
             read_dataset(p)
 
+    def test_extra_payload_rejected_as_format_not_truncation(self, suite, tmp_path):
+        p = tmp_path / "a.qstd"
+        write_dataset(suite, p)
+        raw = p.read_bytes()
+        p.write_bytes(raw + b"\x00\x00\x00\x00")
+        with pytest.raises(DataFormatError, match=r"dataset payload holds \d+ bytes") as err:
+            read_dataset(p)
+        assert not isinstance(err.value, TruncatedFileError)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_payload_rejected(self, suite, tmp_path, value):
+        episodes = list(suite.episodes)
+        poisoned = episodes[5].actions.copy()
+        poisoned[2, 1] = value
+        episodes[5] = Episode(episodes[5].task, episodes[5].observations, poisoned)
+        p = tmp_path / "a.qstd"
+        write_dataset(TrajectoryDataset(episodes, seed=suite.seed), p)
+        with pytest.raises(DataFormatError, match="dataset episode 5 actions holds a non-finite"):
+            read_dataset(p)
+
+    def test_length_zero_episode_roundtrips_bitwise(self, tmp_path):
+        episodes = [
+            Episode("still", np.full((1, 4), 0.5), np.zeros((0, 2))),
+            Episode("move", np.arange(12.0).reshape(3, 4), np.ones((2, 2))),
+        ]
+        p1, p2 = tmp_path / "a.qstd", tmp_path / "b.qstd"
+        write_dataset(TrajectoryDataset(episodes, seed=3), p1)
+        loaded = read_dataset(p1)
+        write_dataset(loaded, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+        assert [ep.length for ep in loaded.episodes] == [0, 2]
+        np.testing.assert_array_equal(loaded.episodes[0].observations, episodes[0].observations)
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "a.qstd"
         p.write_bytes(b"NOTMAGIC\nseed 0\nepisodes 0\nobs_dim 0\nact_dim 0\n\n")
@@ -296,8 +329,10 @@ class TestDatasetIO:
             ("seed 0\nepisodes 1\nobs_dim 4\nact_dim 2\ncolor blue\nepisode 3 a\n", "unknown header line"),
             ("seed 0\nepisodes 1\nobs_dim 4\nepisode 3 a\n", "missing 'act_dim'"),
             ("seed 0\nepisodes 2\nobs_dim 4\nact_dim 2\nepisode 3 a\n", "declares 2 episodes but lists 1"),
+            ("seed 0\nseed 7\nepisodes 1\nobs_dim 4\nact_dim 2\nepisode 3 a\n", "'seed' is given twice"),
+            ("seed 0\nepisodes 1\nobs_dim 4\nact_dim 2\nepisode 64\n", "names no task"),
         ],
-        ids=["unknown-line", "missing-act-dim", "episode-count"],
+        ids=["unknown-line", "missing-act-dim", "episode-count", "repeated-seed", "nameless-episode"],
     )
     def test_bad_header_rejected(self, tmp_path, header, match):
         p = tmp_path / "a.qstd"
