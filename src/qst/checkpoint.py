@@ -3,7 +3,9 @@
 Format: the magic line ``QSTCKPT 1``, optional ``# meta key = value`` and
 ``# cfg key = value`` lines (the embedded config snapshot), one line per
 parameter ``name<TAB>dtype<TAB>dim0,dim1,...<TAB>byte-offset``, a blank line,
-and the little-endian float32 blobs, back to back in header order.
+and the payload, which ``qst.data.payload_chunks`` writes and
+``qst.data.read_payload`` reads: the little-endian float32 arrays back to
+back in header order, so each offset is the running byte count.
 """
 
 from __future__ import annotations

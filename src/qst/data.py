@@ -1,11 +1,13 @@
 """Trajectory dataset container, sliding-window views, and file IO.
 
-File format (version 1): the magic line ``QSTD1``, a text header with the
-generation seed, episode count, observation/action dims and one line per
-episode (``episode <length> <task>``), a blank line, then little-endian
-32-bit float blobs: per episode the observations ((length+1) x obs_dim) and
-then the actions (length x act_dim), row-major, concatenated in episode
-order.
+File format (version 1): the magic line ``QSTD1``, a header with the seed,
+episode count and observation/action dims (each once) and one
+``episode <length> <task>`` line per episode, a blank line, then the
+payload: per episode the observations ((length+1) x obs_dim), then the
+actions (length x act_dim).  The payload codec here, ``payload_chunks`` and
+``read_payload``, also carries checkpoints: little-endian float32 arrays,
+row-major, back to back in header order; the reader refuses a short, long
+or non-finite payload.
 """
 
 from __future__ import annotations

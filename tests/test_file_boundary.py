@@ -65,7 +65,7 @@ def test_header_byte_edits_load_or_raise_qst_error(kind, tmp_path):
             load(variant, tmp_path)
         except QstError:
             pass
-        except Exception as exc:  # noqa: BLE001 - anything else escapes the boundary
+        except Exception as exc:  # anything else escapes the boundary
             escaped.append(f"{variant[:80]!r}: {exc!r}")
     assert count > 500
     assert not escaped, "\n".join(escaped[:5])
