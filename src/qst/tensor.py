@@ -18,7 +18,9 @@ numerics need it: :func:`masked_attention` runs its scores, softmax,
 dropout and value mix in float64 inside one graph node, which keeps only
 its inputs as given, the float64 probabilities and the boolean dropout mask;
 :func:`total`, :func:`mean` and
-:func:`cross_entropy` reduce in float64 and return a float64 scalar; and
+:func:`cross_entropy` reduce in float64 and return a float64 scalar;
+:func:`gelu` evaluates its erf in float64 (``_erf``, numpy only) and rounds
+it to the activation's dtype, bitwise what SciPy's float32 ``erf`` gives; and
 :func:`widened` lets the finite-difference oracle run a whole model in
 float64.  Integer index arrays (embedding lookups, classification targets)
 are plain numpy arrays, not tensors.
@@ -32,7 +34,6 @@ import warnings
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.special import erf as _erf
 
 from .errors import ConfigurationError, DimensionError, RangeError
 
@@ -43,6 +44,27 @@ WIDE = np.float64  # attention, scalar reductions and finite differences
 # would promote every float32 activation it touches)
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+# erf(x) = 2/sqrt(pi) * sum_n (-1)^n x^(2n+1) / (n! (2n+1)); for |x| < 1 the
+# first 18 terms reach float64 precision.  Highest power of x^2 first.
+_ERF_TAYLOR = tuple(
+    2.0 / math.sqrt(math.pi) * (-1) ** n / (math.factorial(n) * (2 * n + 1)) for n in range(17, -1, -1)
+)
+# For 1 <= x < 6, erfc(x) = exp(-x^2) P(x) / Q(x): the rational fit of
+# mpmath's float erfc (mpmath/math2.py), highest power first.  From 6 on, erf
+# rounds to 1 in float64.
+_ERFC_P = (
+    0.00044560259661560421715, 0.0063065951710717791934, 0.045459713768411264339,
+    0.20924776504163751585, 0.66275911699770787537, 1.4695509105618423961,
+    2.2280433377390253297, 2.1275306946297962644, 1.0000000161203922312,
+)
+_ERFC_Q = (
+    0.00078981003831980423513, 0.011178148899483545902, 0.080970149639040548613,
+    0.37647108453729465912, 1.2146026030046904138, 2.7845640601891186528,
+    4.4971472894498014205, 4.9019435608903239131, 3.2559100272784894318,
+    1.0000000000000000000,
+)
+_ERF_ONE = 6.0
 
 _grad_enabled = True
 
@@ -61,13 +83,22 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _TRIM_THRESHOLD = 1 << 30
 _MMAP_THRESHOLD = 32 << 20
+# The first training step also allocates about a hundred small blocks that
+# numpy and the interpreter keep (glibc's malloc_info counts them).  With no
+# free small chunk to take them from, glibc cuts them out of the heap that
+# step's graph then frees; they split that region, and the next step can
+# outgrow it by tens of pages.  So import leaves a pool of free 1 KB chunks,
+# each between two held ones so that they cannot merge: 1 MB of heap in all.
+_POOL_CHUNKS = 512
+_POOL_CHUNK_BYTES = 1024
 
 
 def _keep_freed_heap() -> None:
-    """Set glibc's trim and mmap thresholds once; a no-op where the C
-    library has no ``mallopt``."""
+    """Set glibc's trim and mmap thresholds once and leave the pool of free
+    small chunks; a no-op where the C library has no ``mallopt``."""
     try:
-        mallopt = ctypes.CDLL(None).mallopt
+        libc = ctypes.CDLL(None)
+        mallopt, malloc, free = libc.mallopt, libc.malloc, libc.free
     except (OSError, TypeError, AttributeError):  # no C library symbols, or no mallopt
         return
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
@@ -75,6 +106,13 @@ def _keep_freed_heap() -> None:
     for param, value in ((_M_TRIM_THRESHOLD, _TRIM_THRESHOLD), (_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)):
         if mallopt(param, value) != 1:
             warnings.warn(f"mallopt({param}, {value}) failed", RuntimeWarning, stacklevel=2)
+    malloc.argtypes = (ctypes.c_size_t,)
+    malloc.restype = ctypes.c_void_p
+    free.argtypes = (ctypes.c_void_p,)
+    free.restype = None
+    chunks = [malloc(_POOL_CHUNK_BYTES) for _ in range(2 * _POOL_CHUNKS)]
+    for chunk in chunks[::2]:  # the others stay allocated for the process's life
+        free(chunk)
 
 
 _keep_freed_heap()
@@ -337,8 +375,53 @@ def relu(x: Tensor) -> Tensor:
     return _op(out, (x,), lambda g: (g * (out > 0.0),))
 
 
+def _horner(coeffs: tuple[float, ...], x: np.ndarray) -> np.ndarray:
+    """The polynomial with ``coeffs`` (highest power first) at ``x``, into
+    one new array."""
+    p = x * coeffs[0]
+    for c in coeffs[1:-1]:
+        p += c
+        p *= x
+    p += coeffs[-1]
+    return p
+
+
+def _erf_series(x: np.ndarray) -> np.ndarray:
+    """erf for 0 <= x < 1."""
+    series = _horner(_ERF_TAYLOR, x * x)
+    series *= x
+    return series
+
+
+def _erf_tail(x: np.ndarray) -> np.ndarray:
+    """erf for 1 <= x < :data:`_ERF_ONE`."""
+    tail = x * x
+    np.negative(tail, out=tail)
+    np.exp(tail, out=tail)
+    tail *= _horner(_ERFC_P, x)
+    tail /= _horner(_ERFC_Q, x)
+    return np.subtract(1.0, tail, out=tail)
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """erf of a float array in ``x``'s dtype, evaluated in float64: for
+    float32 that is the float32 rounding of the float64 erf, as SciPy's
+    float32 ``erf`` gives.  Each branch runs only on the magnitudes it
+    serves, gathered by index; beyond them erf is 1 (infinities included),
+    and NaN stays NaN.  The sign comes back with ``copysign``."""
+    a = np.abs(x, dtype=WIDE).ravel()
+    out = np.minimum(a, 1.0)
+    near = np.flatnonzero(a < 1.0)
+    mid = np.flatnonzero((a >= 1.0) & (a < _ERF_ONE))
+    out[near] = _erf_series(a[near])
+    out[mid] = _erf_tail(a[mid])
+    np.copysign(out, x.ravel(), out=out)
+    return out.astype(x.dtype, copy=False).reshape(x.shape)
+
+
 def gelu(x: Tensor) -> Tensor:
-    """Exact (erf-based) GELU."""
+    """Exact (erf-based) GELU (Hendrycks & Gimpel, arXiv:1606.08415); the
+    erf runs in float64 and rounds back to the activation dtype."""
     xd = x.data
     cdf = 0.5 * (1.0 + _erf(xd * _INV_SQRT2))
 

@@ -2,6 +2,7 @@
 
 import ctypes
 import gc
+import math
 import os
 import subprocess
 import sys
@@ -52,6 +53,74 @@ def test_primitive_gradients_at_random_points(name, fn):
             x = np.where(np.abs(x) < 0.1, x + 0.3, x)
         err = grad_check(fn, x)
         assert err < 1e-4, f"{name} trial {trial}: {err}"
+
+
+def _erf_inputs(dtype) -> np.ndarray:
+    """About 1e5 seeded values in [-7, 7], then the branch edges 0, 1 and 6
+    with their neighbours, subnormals and infinities, each with both signs,
+    then NaN."""
+    rng = np.random.default_rng(20)
+    edges = np.array([0.0, 1.0, 6.0], dtype)
+    finfo = np.finfo(dtype)
+    values = np.concatenate(
+        [
+            rng.uniform(-7.0, 7.0, 100_000).astype(dtype),
+            edges,
+            np.nextafter(edges, dtype(-np.inf)),
+            np.nextafter(edges, dtype(np.inf)),
+            np.array([finfo.smallest_subnormal, 3 * finfo.smallest_subnormal], dtype),
+            np.array([finfo.smallest_normal / 2, np.inf], dtype),
+        ]
+    )
+    return np.concatenate([values, -values, np.array([np.nan], dtype)])
+
+
+def test_erf_float32_is_the_float64_erf_rounded():
+    x = _erf_inputs(np.float32)
+    got = T._erf(x)
+    assert got.dtype == np.float32
+    want = np.array([np.float32(math.erf(float(v))) for v in x])
+    np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
+def test_erf_float64_lies_within_two_ulp():
+    x = _erf_inputs(np.float64)
+    got = T._erf(x)
+    assert got.dtype == np.float64
+    want = np.array([math.erf(v) for v in x])
+    assert np.isnan(got[-1]) and not np.isnan(got[:-1]).any()
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+    ulps = np.abs(got[:-1] - want[:-1]) / np.spacing(np.abs(want[:-1]))
+    assert ulps.max() <= 2.0
+
+
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # every scipy import now raises ImportError
+import numpy as np
+import qst
+from qst import tensor as T
+from qst.autoencoder import SkillAutoencoder
+from qst.config import RunConfig
+
+x = T.Tensor(np.linspace(-3.0, 3.0, 12).reshape(3, 4), requires_grad=True)
+T.gelu(x).sum().backward()
+assert x.grad.shape == (3, 4)
+cfg = RunConfig(T=8, action_dim=2, fsq_levels=(5, 3), encoder_dim=8, encoder_layers=1, encoder_heads=2,
+                conv_kernels=(3, 3), conv_strides=(2, 2), decoder_dim=8, decoder_layers=1, decoder_heads=2)
+SkillAutoencoder(cfg, np.random.default_rng(0)).encode(np.zeros((2, 8, 2)))
+"""
+
+
+def test_runs_without_scipy():
+    """``qst`` needs numpy only: GELU and the encoder that uses it run with
+    every SciPy import refused."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
 
 
 def test_matmul_gradients_including_batched():
