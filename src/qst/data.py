@@ -184,6 +184,18 @@ def read_payload(payload: bytes, shapes, what: str) -> list[np.ndarray]:
 
 
 def write_dataset(dataset: TrajectoryDataset, path) -> None:
+    """Write ``dataset`` to ``path``.  An episode whose observation or
+    action width differs from the first episode's, or a task name that is
+    not one non-empty line of ASCII, raises :class:`ArgumentError` before
+    ``path`` is opened."""
+    widths = [(ep.observations.shape[1:], ep.actions.shape[1:]) for ep in dataset.episodes]
+    for e, ep in enumerate(dataset.episodes):
+        if widths[e] != widths[0]:
+            raise ArgumentError(
+                f"episode {e} has (observation, action) widths {widths[e]}, episode 0 {widths[0]}"
+            )
+        if not ep.task.isascii() or ep.task.splitlines() != [ep.task]:
+            raise ArgumentError(f"episode {e} task name {ep.task!r} is not one non-empty line of ASCII")
     lines = [f"{MAGIC_PREFIX}{FORMAT_VERSION}"]
     lines.append(f"seed {dataset.seed}")
     lines.append(f"episodes {len(dataset.episodes)}")

@@ -290,6 +290,27 @@ class TestDatasetIO:
         assert [ep.length for ep in loaded.episodes] == [0, 2]
         np.testing.assert_array_equal(loaded.episodes[0].observations, episodes[0].observations)
 
+    def test_mixed_widths_refused_before_the_file_is_opened(self, tmp_path):
+        episodes = [
+            Episode("a", np.arange(6.0).reshape(3, 2), np.zeros((2, 1))),
+            Episode("b", np.arange(4.0).reshape(2, 2)[:, :1], np.ones((1, 3))),
+        ]
+        p = tmp_path / "a.qstd"
+        with pytest.raises(ArgumentError, match="episode 1 has"):
+            write_dataset(TrajectoryDataset(episodes, seed=0), p)
+        assert not p.exists()
+
+    @pytest.mark.parametrize("name", ["café", "", "a\nb", "a\rb"], ids=["non-ascii", "empty", "newline", "return"])
+    def test_unwritable_task_name_leaves_the_target_unchanged(self, suite, tmp_path, name):
+        p = tmp_path / "a.qstd"
+        write_dataset(suite, p)
+        before = p.read_bytes()
+        episodes = list(suite.episodes)
+        episodes[3] = Episode(name, episodes[3].observations, episodes[3].actions)
+        with pytest.raises(ArgumentError, match="episode 3 task name"):
+            write_dataset(TrajectoryDataset(episodes, seed=suite.seed), p)
+        assert p.read_bytes() == before
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "a.qstd"
         p.write_bytes(b"NOTMAGIC\nseed 0\nepisodes 0\nobs_dim 0\nact_dim 0\n\n")
