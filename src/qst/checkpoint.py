@@ -11,12 +11,13 @@ back in header order, so each offset is the running byte count.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import header_int, payload_chunks, read_payload, split_header
+from .data import header_int, header_line, payload_chunks, read_payload, split_header
 from .errors import BadMagicError, DataFormatError, VersionError
 
 MAGIC = "QSTCKPT 1"
@@ -36,27 +37,30 @@ class Checkpoint:
     def chunks(self):
         """The serialized file in pieces: the ASCII header, then each
         array's little-endian float32 bytes as a memoryview (no copy for
-        arrays that already are contiguous ``<f4``)."""
+        arrays that already are contiguous ``<f4``).  The header is built,
+        and each of its entries checked with ``data.header_line``, by this call."""
         lines = [MAGIC]
         for key, value in self.meta.items():
-            lines.append(f"# meta {key} = {value}")
+            header_line(key, "checkpoint meta key")
+            lines.append(f"# meta {key} = {header_line(value, f'checkpoint meta {key!r} value')}")
         for cfg_line in self.config_text.splitlines():
             if cfg_line.strip():
-                lines.append(f"# cfg {cfg_line}")
+                lines.append(f"# cfg {header_line(cfg_line, 'checkpoint config line')}")
         offset = 0
         for name, arr in self.params.items():
             dims = ",".join(str(d) for d in arr.shape)
-            lines.append(f"{name}\tf32\t{dims}\t{offset}")
+            lines.append(f"{header_line(name, 'parameter name')}\tf32\t{dims}\t{offset}")
             offset += 4 * arr.size
-        yield ("\n".join(lines) + "\n\n").encode("ascii")
-        yield from payload_chunks(self.params.values())
+        header = ("\n".join(lines) + "\n\n").encode("ascii")
+        return itertools.chain([header], payload_chunks(self.params.values()))
 
     def to_bytes(self) -> bytes:
         return b"".join(self.chunks())
 
     def save(self, path) -> None:
+        chunks = self.chunks()  # a header that cannot be written raises before the file opens
         with open(path, "wb") as fh:
-            fh.writelines(self.chunks())
+            fh.writelines(chunks)
 
     def content_sha256(self) -> str:
         digest = hashlib.sha256()

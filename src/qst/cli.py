@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -381,11 +382,8 @@ def run_grad_check_suite(seed: int) -> float:
         grad_check_params(lambda: model.surrogate_loss(windows), model.params()),
     )
 
-    prior = SkillPrior(
-        PriorConfig(vocab=15, n_tokens=4, dim=8, layers=1, heads=2, obs_dim=3),
-        ["a"],
-        np.random.default_rng(seed + 2),
-    )
+    probe = dataclasses.replace(tiny, conv_strides=(2, 1), obs_dim=3)  # 4 tokens of vocab 15
+    prior = SkillPrior(PriorConfig.from_run_config(probe), ["a"], np.random.default_rng(seed + 2))
     obs = rng.normal(size=(2, 1, 3))
     tgt = rng.integers(0, 15, size=(2, 4))
     check(

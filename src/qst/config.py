@@ -38,7 +38,9 @@ class RunConfig:
     conv_strides: tuple[int, ...] = _key(
         (2, 2, 1), "encoder conv strides; their product is the downsampling factor", structural=True
     )
-    encoder_causal: bool = _key(True, "causal encoder convolutions/attention (off = ablation)")
+    encoder_causal: bool = _key(
+        True, "causal encoder self-attention mask (off = ablation); its convolutions stay causal"
+    )
     decoder_dim: int = _key(256, "decoder model width", least=1, structural=True)
     decoder_layers: int = _key(
         4, "decoder blocks (self-attention + cross-attention + FFN)", least=1, structural=True
@@ -57,7 +59,6 @@ class RunConfig:
     decoder_loss_scale: float = _key(10.0, "weight of the decoder loss during few-shot finetuning")
     execution_horizon: int = _key(8, "actions executed per replan")
     max_episode_steps: int = _key(96, "environment step budget per evaluation episode", least=1)
-    optimizer: str = _key("adam", "only 'adam' is implemented")
     learning_rate: float = _key(1e-4, "Adam learning rate")
     batch_size: int = _key(64, "windows per optimization step", least=1)
     stage1_epochs: int = _key(8, "autoencoder training epochs", least=0)
@@ -71,9 +72,6 @@ class RunConfig:
     finetune_epochs: int = _key(40, "few-shot finetuning epochs", least=0)
     demos_per_task: int = _key(50, "pretraining demonstrations generated per task", least=1)
     fewshot_demos: int = _key(5, "demonstrations for the held-out task", least=1)
-    holdout_demos_per_task: int = _key(
-        5, "demos per task reserved for reconstruction eval", least=0
-    )
 
     def __post_init__(self):
         self.validate()
@@ -116,8 +114,6 @@ class RunConfig:
                 f"T={self.T} is not divisible by the downsampling factor "
                 f"{self.downsampling}; the token count must be exact"
             )
-        if self.optimizer != "adam":
-            raise ConfigurationError(f"unsupported optimizer '{self.optimizer}'")
         if not 1 <= self.execution_horizon <= self.T:
             raise ConfigurationError("execution_horizon must lie in [1, T]")
         if not 0 < self.temperature < np.inf:
@@ -207,8 +203,6 @@ def _parse_value(key, text: str, lineno: int):
             return int(text)
         if kind == "float":
             return float(text)
-        if kind.startswith("tuple"):
-            return tuple(int(part) for part in text.split(",")) if text else ()
-        return text
+        return tuple(int(part) for part in text.split(",")) if text else ()  # tuple[int, ...]
     except ValueError as exc:
         raise ConfigurationError(f"line {lineno}: bad value for '{key.name}': {exc}") from None

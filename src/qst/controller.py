@@ -27,10 +27,12 @@ from .tasks import PointEnv, get_task
 
 @dataclass(frozen=True)
 class ControlConfig:
-    execution_horizon: int = 8
-    top_k: int = 5
-    temperature: float = 1.0
-    max_episode_steps: int = 96
+    """The controller's view of a :class:`RunConfig`; build it with :meth:`from_run_config`."""
+
+    execution_horizon: int
+    top_k: int
+    temperature: float
+    max_episode_steps: int
 
     def __post_init__(self):
         if self.execution_horizon < 1:

@@ -143,9 +143,17 @@ def header_int(text: str, what: str, signed: bool = False) -> int:
     return int(text)
 
 
-def split_header(raw: bytes, what: str) -> tuple[list[str], bytes]:
+def header_line(text: str, what: str) -> str:
+    """``text``, if it is one non-empty line of ASCII, as each entry of a
+    dataset or checkpoint header must be; else :class:`ArgumentError`."""
+    if not text.isascii() or text.splitlines() != [text]:
+        raise ArgumentError(f"{what} {text!r} is not one non-empty line of ASCII")
+    return text
+
+
+def split_header(raw: bytes, what: str) -> tuple[list[str], memoryview]:
     """Split a file at its first blank line into the lines of its ASCII
-    header and the binary payload after it."""
+    header and a view of the binary payload after it (no copy)."""
     split = raw.find(b"\n\n")
     if split < 0:
         raise DataFormatError(f"missing blank line after {what}")
@@ -153,7 +161,7 @@ def split_header(raw: bytes, what: str) -> tuple[list[str], bytes]:
         header = raw[: split + 1].decode("ascii")
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{what} is not ascii text: {exc}") from None
-    return header.splitlines(), raw[split + 2 :]
+    return header.splitlines(), memoryview(raw)[split + 2 :]
 
 
 def payload_chunks(arrays):
@@ -164,7 +172,7 @@ def payload_chunks(arrays):
         yield np.ascontiguousarray(arr, dtype="<f4").reshape(-1).data
 
 
-def read_payload(payload: bytes, shapes, what: str) -> list[np.ndarray]:
+def read_payload(payload: memoryview, shapes, what: str) -> list[np.ndarray]:
     """Split ``payload`` into read-only ``<f4`` views of the ``(label,
     shape)`` pairs its header declares, in header order.  A payload shorter
     than the shapes need raises :class:`TruncatedFileError`; a longer one,
@@ -194,8 +202,7 @@ def write_dataset(dataset: TrajectoryDataset, path) -> None:
             raise ArgumentError(
                 f"episode {e} has (observation, action) widths {widths[e]}, episode 0 {widths[0]}"
             )
-        if not ep.task.isascii() or ep.task.splitlines() != [ep.task]:
-            raise ArgumentError(f"episode {e} task name {ep.task!r} is not one non-empty line of ASCII")
+        header_line(ep.task, f"episode {e} task name")
     lines = [f"{MAGIC_PREFIX}{FORMAT_VERSION}"]
     lines.append(f"seed {dataset.seed}")
     lines.append(f"episodes {len(dataset.episodes)}")

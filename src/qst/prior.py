@@ -24,7 +24,7 @@ from . import tensor as T
 from .autoencoder import ENCODE_BATCH, SkillAutoencoder
 from .checkpoint import Checkpoint
 from .config import RunConfig
-from .data import TrajectoryDataset, window_arrays
+from .data import TrajectoryDataset, header_line, window_arrays
 from .errors import ArgumentError, ConfigurationError, DataFormatError, DimensionError, RangeError
 from .metrics import MetricsWriter
 from .nn import (
@@ -44,19 +44,17 @@ from .tensor import Tensor
 
 @dataclass(frozen=True)
 class PriorConfig:
-    vocab: int = 1000
-    n_tokens: int = 8
-    dim: int = 384
-    layers: int = 6
-    heads: int = 6
-    attn_dropout: float = 0.1
-    embd_dropout: float = 0.1
-    history: int = 1
-    obs_dim: int = 4
+    """The prior's view of a :class:`RunConfig`; build it with :meth:`from_run_config`."""
 
-    @property
-    def start_id(self) -> int:
-        return self.vocab  # one extra embedding row marks sequence start
+    vocab: int
+    n_tokens: int
+    dim: int
+    layers: int
+    heads: int
+    attn_dropout: float
+    embd_dropout: float
+    history: int
+    obs_dim: int
 
     @classmethod
     def from_run_config(cls, cfg: RunConfig) -> "PriorConfig":
@@ -95,7 +93,7 @@ class SkillPrior:
         self.task_names = [_storable_task_name(name) for name in task_names]
         if len(set(task_names)) != len(task_names):
             raise ArgumentError(f"task names {task_names!r} repeat a name")
-        self.token_emb = Embedding(rng, cfg.vocab + 1, cfg.dim)
+        self.token_emb = Embedding(rng, cfg.vocab + 1, cfg.dim)  # row vocab: the start token
         self.task_table = normal_param(rng, 0.02, (len(task_names), cfg.dim))
         self.obs = ObservationEncoder(rng, cfg.obs_dim, cfg.dim)
         self.blocks = [
@@ -164,7 +162,7 @@ class SkillPrior:
         parts = [
             T.reshape(T.embedding(self.task_table, task_idx), (batch, 1, self.cfg.dim)),
             self.obs(Tensor(obs)),
-            self.token_emb(np.full((batch, 1), self.cfg.start_id)),
+            self.token_emb(np.full((batch, 1), self.cfg.vocab)),  # the start token
         ]
         if tokens.shape[1]:
             parts.append(self._token_inputs(tokens, 0))
@@ -283,8 +281,8 @@ class SkillPrior:
 def _storable_task_name(name: str) -> str:
     """``name``, if the comma-joined ``tasks`` checkpoint meta value can
     carry it and give it back."""
-    if not name or "," in name:
-        raise ArgumentError(f"task name {name!r} must be non-empty and free of commas")
+    if "," in header_line(name, "task name"):
+        raise ArgumentError(f"task name {name!r} must be free of commas")
     return name
 
 

@@ -40,6 +40,7 @@ ACCEPT_CONFIG = RunConfig(
 )
 DATA_SEED = 0
 TRAIN_SEED = 0
+HOLDOUT_DEMOS = 5  # demos per task held out for criterion 5's reconstruction check
 EVAL_SEEDS = [0, 1]
 EPISODES = 20
 STAGE1_BUDGET_S = 600.0  # criterion 5: stage-1 training + held-out evaluation
@@ -280,7 +281,7 @@ def suite_files(tmp_path_factory):
 @pytest.fixture(scope="module")
 def stage1(suite_files):
     full = read_dataset(suite_files / "dataset.qstd")
-    train, held = full.split_heldout(ACCEPT_CONFIG.holdout_demos_per_task)
+    train, held = full.split_heldout(HOLDOUT_DEMOS)
     t0 = time.perf_counter()
     with time_limit("criterion 5 (stage-1 training)", STAGE1_BUDGET_S):
         ckpt = train_stage1(

@@ -111,6 +111,25 @@ class TestEncode:
         assert violated
 
 
+    def test_non_causal_encoder_keeps_causal_convolutions(self):
+        """``encoder_causal = off`` drops the self-attention mask only.  Step
+        28 is the last one the conv stack reads (token 7 ends there); with
+        the attention blocks taken out, perturbing it moves row 7 alone of
+        the conv stack's output (through the row-wise ``ln_f``), and with
+        them in, the earlier tokens move too."""
+        noncausal = default_model(causal=False)
+        a = 0.05 * np.random.default_rng(5).normal(size=(32, 2))
+        bumped = a.copy()
+        bumped[28] += 0.5
+        assert not np.array_equal(
+            noncausal.encode(a).prequant[:7], noncausal.encode(bumped).prequant[:7]
+        )
+        noncausal.encoder.blocks = []
+        base, out = noncausal.encode(a).prequant, noncausal.encode(bumped).prequant
+        np.testing.assert_array_equal(base[:7], out[:7])
+        assert not np.array_equal(base[7], out[7])
+
+
 class TestDecode:
     def test_untrained_decode_is_finite_with_right_shape(self, model):
         rng = np.random.default_rng(5)
@@ -208,6 +227,11 @@ class TestTrainStage1:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ArgumentError):
             train_stage1(TrajectoryDataset([]), tiny_config(), seed=0)
+
+    def test_action_dim_mismatch_rejected(self):
+        ds = self._tiny_dataset()
+        with pytest.raises(DimensionError, match="action dim 2 != config 3"):
+            train_stage1(ds, tiny_config(action_dim=3), seed=0)
 
     def test_checkpoint_roundtrip_restores_model(self, tmp_path):
         ds = self._tiny_dataset()

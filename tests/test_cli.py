@@ -6,10 +6,13 @@ import os
 import numpy as np
 import pytest
 
+from qst.autoencoder import SkillAutoencoder
 from qst.checkpoint import Checkpoint
-from qst.cli import main
+from qst.cli import export_embeddings, main
 from qst.config import RunConfig
 from qst.controller import Policy
+from qst.data import Episode, TrajectoryDataset
+from qst.errors import ConfigurationError
 
 from test_autoencoder import tiny_config
 from test_config import overridden
@@ -280,6 +283,14 @@ class TestPipeline:
             a = first_window("circle-ccw", demo)
             b = first_window("s-curve", demo)
             assert [a[c] for c in shared_cols] == [b[c] for c in shared_cols]
+
+
+def test_export_embeddings_refuses_an_action_dim_mismatch(tmp_path):
+    stage1 = SkillAutoencoder(tiny_config(), np.random.default_rng(0)).to_checkpoint()
+    wide = TrajectoryDataset([Episode("a", np.zeros((9, 4)), np.zeros((8, 3)))])
+    with pytest.raises(ConfigurationError, match="action dim 3 != checkpoint 2"):
+        export_embeddings(stage1, wide, tmp_path / "embeddings.csv")
+    assert not os.listdir(tmp_path)
 
 
 class TestAblationFlags:

@@ -6,6 +6,7 @@ import pytest
 from qst.checkpoint import Checkpoint
 from qst.config import RunConfig
 from qst.errors import (
+    ArgumentError,
     BadMagicError,
     ConfigurationError,
     DataFormatError,
@@ -118,7 +119,8 @@ class TestRunConfig:
             ("T", "abc"),
             ("encoder_causal", "maybe"),
             ("execution_horizon", "33"),
-            ("optimizer", "sgd"),
+            ("optimizer", "sgd"),  # deleted keys: an older snapshot naming one is refused
+            ("holdout_demos_per_task", "5"),
             pytest.param("learning_rate", "0.1\nlearning_rate = 0.001", id="learning_rate-twice"),
         ],
     )
@@ -266,6 +268,34 @@ class TestCheckpoint:
     def test_header_without_blank_line_or_ascii_rejected(self, raw, match):
         with pytest.raises(DataFormatError, match=match):
             Checkpoint.from_bytes(raw)
+
+    def test_load_hands_back_read_only_views(self, tmp_path):
+        path = tmp_path / "a.ckpt"
+        self._make().save(path)
+        assert not any(arr.flags.writeable for arr in Checkpoint.load(path).params.values())
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda ckpt: ckpt.meta.update(stage="caf\u00e9"),
+            lambda ckpt: ckpt.meta.update(stage="a\nb"),
+            lambda ckpt: ckpt.meta.update({"st\nage": "x"}),
+            lambda ckpt: ckpt.params.update({"w\u00e9": np.zeros(1, "<f4")}),
+            lambda ckpt: setattr(ckpt, "config_text", ckpt.config_text + "T = 3\u00e9\n"),
+        ],
+        ids=["meta-value", "meta-value-newline", "meta-key-newline", "parameter-name", "cfg-line"],
+    )
+    def test_header_that_cannot_be_written_refused_before_the_file_opens(self, edit, tmp_path):
+        path = tmp_path / "a.ckpt"
+        ckpt = self._make()
+        ckpt.save(path)
+        before = path.read_bytes()
+        edit(ckpt)
+        with pytest.raises(ArgumentError, match="not one non-empty line of ASCII"):
+            ckpt.save(path)
+        assert path.read_bytes() == before
+        with pytest.raises(ArgumentError):
+            ckpt.content_sha256()
 
     def test_float32_storage(self):
         ckpt = self._make()

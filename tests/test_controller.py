@@ -76,7 +76,7 @@ class TestPolicy:
         np.testing.assert_array_equal(a, b)
 
     def test_control_top_k_is_the_sampler_k(self, pipeline):
-        # the checkpoint samples with top_k=3; ControlConfig(top_k=1) is greedy
+        # the checkpoint samples with top_k=3; a control top_k of 1 is greedy
         cfg, _, _, policy = pipeline
         control = control_for(cfg, top_k=1)
         logs = []
@@ -87,9 +87,9 @@ class TestPolicy:
         assert logs[0] and logs[0] == logs[1]
 
     def test_execution_horizon_validation(self, pipeline):
-        with pytest.raises(ConfigurationError):
-            ControlConfig(execution_horizon=0)
         cfg, _, _, policy = pipeline
+        with pytest.raises(ConfigurationError):
+            control_for(cfg, execution_horizon=0)
         control = control_for(cfg, execution_horizon=cfg.T + 1)
         env = tasks.PointEnv(tasks.get_task("line-across"))
         env.reset(np.random.default_rng(0))
@@ -256,12 +256,7 @@ class TestRollout:
 class TestEvaluateSuite:
     def test_counts_and_determinism(self, pipeline):
         cfg, _, _, policy = pipeline
-        control = ControlConfig(
-            execution_horizon=8,
-            top_k=3,
-            temperature=1.0,
-            max_episode_steps=16,
-        )
+        control = control_for(cfg, max_episode_steps=16)
         results, summary = evaluate_suite(
             policy, ["line-across", "circle-ccw"], episodes=3, seeds=[0, 1], cfg=control
         )

@@ -102,6 +102,13 @@ class TestIndexBijection:
             fsq.code_to_index(np.array([-1, 0, 0, 0]), SPEC)
 
 
+    @pytest.mark.parametrize("width", [3, 5])
+    def test_codes_of_the_wrong_width_rejected(self, width):
+        for use in (fsq.code_to_index, fsq.digits_to_grid):
+            with pytest.raises(RangeError, match=f"expected 4 digits per code, got {width}"):
+                use(np.zeros((2, width), dtype=int), SPEC)
+
+
 class TestUtilization:
     def test_full_coverage_is_one(self):
         assert fsq.utilization(np.arange(1000), SPEC) == 1.0
@@ -115,6 +122,11 @@ class TestUtilization:
 
     def test_counts_distinct_indices_across_rows(self):
         assert fsq.utilization(np.array([[1, 1], [2, 1]]), SPEC) == 0.002
+
+    def test_out_of_range_indices_rejected(self):
+        for bad in (-1, SPEC.codebook_size):
+            with pytest.raises(RangeError, match="index out of range"):
+                fsq.utilization(np.array([0, bad]), SPEC)
 
     def test_non_integer_indices_rejected(self):
         with pytest.raises(ArgumentError):

@@ -93,7 +93,7 @@ def test_stage1_step_stays_float32(dtype_log):
 
 
 def test_stage2_step_stays_float32(dtype_log):
-    prior = small_prior(vocab=15)
+    prior = small_prior(fsq_levels=(5, 3))
     rng = np.random.default_rng(2)
     obs = rng.normal(size=(4, 1, 4))
     targets = rng.integers(0, 15, size=(4, 8))
@@ -157,7 +157,7 @@ def test_cached_sampler_draws_from_the_teacher_forced_logits_bitwise(monkeypatch
 
 class TestFiniteDifferenceOracle:
     def test_probes_in_float64_and_restores_float32_params_bitwise(self):
-        prior = small_prior(vocab=15, dim=8, layers=1, n_tokens=4, obs_dim=3)
+        prior = small_prior(fsq_levels=(5, 3), T=16, prior_dim=8, prior_layers=1, obs_dim=3)
         params = prior.params()
         arrays = {name: p.data for name, p in params.items()}
         before = {name: arr.copy() for name, arr in arrays.items()}

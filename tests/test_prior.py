@@ -31,11 +31,17 @@ from qst.prior import (
 from test_autoencoder import tiny_config
 
 
-def small_prior(seed=0, vocab=1000, **overrides) -> SkillPrior:
-    fields = dict(vocab=vocab, n_tokens=8, dim=24, layers=2, heads=2, obs_dim=4)
-    fields.update(overrides)
-    cfg = PriorConfig(**fields)
-    return SkillPrior(cfg, ["a", "b"], np.random.default_rng(seed))
+def small_config(**keys) -> PriorConfig:
+    """The prior's view of ``RunConfig(**keys)``, width 24 unless ``keys``
+    say otherwise: vocab 1000 and 8 tokens at the default ``fsq_levels``,
+    ``T`` and ``conv_strides``."""
+    return PriorConfig.from_run_config(
+        RunConfig(**dict(prior_dim=24, prior_layers=2, prior_heads=2) | keys)
+    )
+
+
+def small_prior(seed=0, **keys) -> SkillPrior:
+    return SkillPrior(small_config(**keys), ["a", "b"], np.random.default_rng(seed))
 
 
 def context_batch(rng, batch=3, history=1, obs_dim=4):
@@ -62,20 +68,30 @@ def test_param_names_and_order_are_pinned():
     assert list(small_prior().params()) == expected
 
 
-@pytest.mark.parametrize("name", ["s,curve", ""])
+@pytest.mark.parametrize("name", ["s,curve", "", "caf\u00e9", "a\nb"])
 def test_task_name_the_checkpoint_cannot_carry_refused(name):
     """The prior stores its tasks as one comma-joined meta value."""
     with pytest.raises(ArgumentError, match="task name"):
-        SkillPrior(PriorConfig(dim=24, layers=1, heads=2), ["a", name], None)
+        SkillPrior(small_config(prior_layers=1), ["a", name], None)
     prior = small_prior()
     with pytest.raises(ArgumentError, match="task name"):
         prior.ensure_task(name, np.random.default_rng(0))
     assert prior.task_names == ["a", "b"] and prior.task_table.shape[0] == 2
 
 
+def test_empty_task_list_refused():
+    with pytest.raises(ArgumentError, match="at least one task"):
+        SkillPrior(small_config(), [], None)
+
+
+def test_unknown_task_name_refused():
+    with pytest.raises(ArgumentError, match="unknown task 'c'"):
+        small_prior().task_index("c")
+
+
 def test_repeated_task_name_refused():
     with pytest.raises(ArgumentError, match="repeat"):
-        SkillPrior(PriorConfig(dim=24, layers=1, heads=2), ["x", "x"], np.random.default_rng(0))
+        SkillPrior(small_config(prior_layers=1), ["x", "x"], np.random.default_rng(0))
 
 
 def renamed(dataset, name):
@@ -142,6 +158,15 @@ class TestLogits:
         with pytest.raises(ConfigurationError):
             prior.logits(task_idx, obs, rng.integers(0, 1000, size=(3, 8)))
 
+    @pytest.mark.parametrize("bad", [-1, 1000])
+    def test_skill_token_id_out_of_range(self, bad):
+        prior = small_prior()
+        task_idx, obs = context_batch(np.random.default_rng(18))
+        tokens = np.zeros((3, 2), dtype=int)
+        tokens[1, 1] = bad
+        with pytest.raises(RangeError, match="skill token id"):
+            prior.logits(task_idx, obs, tokens)
+
     def test_task_id_out_of_range(self):
         prior = small_prior()
         rng = np.random.default_rng(12)
@@ -176,7 +201,7 @@ class TestNll:
         assert abs(loss - np.log(1000.0)) < 1e-9
 
     def test_probability_one_on_targets_gives_zero_loss(self):
-        prior = small_prior(vocab=15)
+        prior = small_prior(fsq_levels=(5, 3))
         rng = np.random.default_rng(9)
         task_idx, obs = context_batch(rng)
         targets = rng.integers(0, 15, size=(3, 8))
@@ -210,7 +235,7 @@ class TestNll:
                 prior.nll(task_idx, obs, bad)
 
     def test_gradcheck_on_tiny_prior(self):
-        prior = small_prior(vocab=15, n_tokens=4, dim=8, layers=1, heads=2, obs_dim=3)
+        prior = small_prior(fsq_levels=(5, 3), T=16, prior_dim=8, prior_layers=1, obs_dim=3)
         rng = np.random.default_rng(11)
         task_idx = rng.integers(0, 2, size=2)
         obs = rng.normal(size=(2, 1, 3))
@@ -305,7 +330,7 @@ class TestSampling:
         assert a.shape == (3, 8)
 
     def test_full_k_samples_from_whole_softmax(self):
-        prior = small_prior(vocab=15)
+        prior = small_prior(fsq_levels=(5, 3))
         rng = np.random.default_rng(13)
         task_idx, obs = context_batch(rng, batch=1)
         draws = prior.sample(
@@ -325,14 +350,17 @@ class TestSampling:
         ids=["k-zero", "k-above-vocab", "zero-temperature", "generator-count"],
     )
     def test_bad_sampler_arguments_refused(self, k, temperature, generators, error, match):
-        prior = small_prior(vocab=15)
+        prior = small_prior(fsq_levels=(5, 3))
         task_idx, obs = context_batch(np.random.default_rng(16))
         rngs = [np.random.default_rng(i) for i in range(generators)]
         with pytest.raises(error, match=match):
             prior.sample(task_idx, obs, k, temperature, rngs)
 
     def test_top2_frequency_matches_renormalized_probability(self):
-        prior = small_prior(vocab=50, n_tokens=1, dim=16, layers=1, heads=2)
+        # vocab 50, one token
+        prior = small_prior(
+            fsq_levels=(5, 10), T=4, execution_horizon=4, prior_dim=16, prior_layers=1
+        )
         rng = np.random.default_rng(14)
         task_idx, obs = context_batch(rng, batch=1)
         logits = prior.logits(task_idx, obs, np.zeros((1, 0), dtype=int)).data[0, -1]
@@ -356,7 +384,7 @@ class TestCachedSampling:
 
     @staticmethod
     def _setup(history):
-        prior = small_prior(history=history)
+        prior = small_prior(observation_history=history)
         rng = np.random.default_rng(20 + history)
         task_idx = np.array([0, 1, 1, 0])
         obs = rng.normal(size=(4, history, 4))
@@ -485,7 +513,15 @@ class TestTrainStage2:
         with pytest.raises(ArgumentError):
             train_stage2(TrajectoryDataset([]), stage1, cfg, seed=0)
 
-    @pytest.mark.parametrize("name", ["s,curve", ""])
+    def test_observation_dim_mismatch_rejected(self, tiny_pipeline):
+        cfg, ds, stage1, _ = tiny_pipeline
+        narrow = TrajectoryDataset(
+            [dataclasses.replace(ep, observations=ep.observations[:, :3]) for ep in ds.episodes]
+        )
+        with pytest.raises(DimensionError, match="obs dim 3 != config 4"):
+            train_stage2(narrow, stage1, cfg, seed=0)
+
+    @pytest.mark.parametrize("name", ["s,curve", "", "caf\u00e9", "a\nb"])
     def test_task_name_the_checkpoint_cannot_carry_refused_before_encoding(
         self, tiny_pipeline, monkeypatch, name
     ):
@@ -500,6 +536,11 @@ class TestTrainStage2:
 
 
 class TestFinetune:
+    def test_empty_demos_rejected(self, tiny_pipeline):
+        cfg, _, stage1, stage2 = tiny_pipeline
+        with pytest.raises(ArgumentError, match="empty dataset"):
+            finetune_fewshot(stage1, stage2, TrajectoryDataset([]), cfg, seed=0)
+
     @pytest.mark.parametrize("decoder_finetune", [False, True])
     def test_optimizer_trains_prior_and_optionally_decoder(
         self, tiny_pipeline, monkeypatch, decoder_finetune
@@ -545,7 +586,7 @@ class TestFinetune:
         prior, _ = SkillPrior.from_checkpoint(out)
         assert prior.task_table.shape[0] == 3
 
-    @pytest.mark.parametrize("name", ["s,curve", ""])
+    @pytest.mark.parametrize("name", ["s,curve", "", "caf\u00e9", "a\nb"])
     def test_task_name_the_checkpoint_cannot_carry_refused(self, tiny_pipeline, name):
         cfg, _, stage1, stage2 = tiny_pipeline
         demos = tasks.generate_suite(5, task_names=("zigzag",), demos_per_task=2)

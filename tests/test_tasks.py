@@ -94,6 +94,10 @@ class TestGeneration:
         for ep in suite.episodes:
             assert np.abs(ep.observations[:, :2]).max() <= 1.0
 
+    def test_unknown_task_rejected(self):
+        with pytest.raises(ArgumentError, match="unknown task 'warp'"):
+            tasks.get_task("warp")
+
     def test_empty_task_list_rejected(self):
         with pytest.raises(ArgumentError):
             tasks.generate_suite(0, task_names=())
@@ -368,3 +372,15 @@ class TestDatasetIO:
         assert len(loaded) == 0 and loaded.seed == 5
         with pytest.raises(ArgumentError):
             window_arrays(loaded, 32)
+
+
+class TestContainers:
+    @pytest.mark.parametrize("rows", [2, 4])
+    def test_episode_needs_one_more_observation_row(self, rows):
+        with pytest.raises(ArgumentError, match="one more observation row"):
+            Episode("a", np.zeros((rows, 4)), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("dim", ["obs_dim", "act_dim"])
+    def test_empty_dataset_has_no_dimensions(self, dim):
+        with pytest.raises(ArgumentError, match="empty dataset"):
+            getattr(TrajectoryDataset([]), dim)

@@ -15,7 +15,7 @@ from qst import optim
 from qst import tensor as T
 from qst.config import RunConfig
 from qst.errors import ConfigurationError, DimensionError, NumericalError
-from qst.gradcheck import grad_check
+from qst.gradcheck import grad_check, grad_check_params
 from qst.optim import Adam, train_epochs
 from qst.tensor import Tensor
 
@@ -421,6 +421,37 @@ def test_no_grad_suppresses_graph():
     assert x.grad is None
 
 
+def _leaf(*shape):
+    return Tensor(np.ones(shape), requires_grad=True)
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: (_leaf(3) * 2.0).backward(np.ones(2)), DimensionError, "seed shape"),
+        (lambda: (_leaf(3) * 2.0).backward(), DimensionError, "without a seed"),
+        (lambda: T.embedding(_leaf(4, 2), np.array([0.0, 1.0])), DimensionError, "integers"),
+        (lambda: T.cross_entropy(_leaf(3, 5), np.zeros(2, int)), DimensionError, "targets shape"),
+        (lambda: T.dropout(_leaf(3), 0.5, None, True), ConfigurationError, "generator"),
+        (lambda: T.causal_conv1d(_leaf(8, 2), _leaf(2, 4), 1), DimensionError, "kernel must be"),
+        (lambda: T.causal_conv1d(_leaf(1, 1, 8, 2), _leaf(3, 2, 4), 1), DimensionError, "input must be"),
+        (lambda: T.causal_conv1d(_leaf(8, 2), _leaf(3, 2, 4), 0), DimensionError, "stride"),
+        (lambda: T.masked_attention(_leaf(2, 4), _leaf(2, 3), _leaf(2, 3), None), DimensionError, "feature"),
+        (lambda: T.masked_attention(_leaf(2, 4), _leaf(2, 4), _leaf(3, 4), None), DimensionError, "sequence"),
+        (lambda: grad_check_params(lambda: _leaf(3) * 2.0, {}), NumericalError, "scalar-valued"),
+        (lambda: grad_check_params(lambda: (_leaf(3) * np.inf).sum(), {}), NumericalError, "not finite"),
+    ],
+    ids=[
+        "seed-shape", "no-seed-on-non-scalar", "float-embedding-indices", "cross-entropy-targets",
+        "dropout-without-generator", "conv-kernel-rank", "conv-input-rank", "conv-stride",
+        "attention-features", "attention-lengths", "grad-check-non-scalar", "grad-check-non-finite",
+    ],
+)
+def test_refusals(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 def test_sinusoidal_table_shape_and_range():
     table = T.sinusoidal_table(32, 256)
     assert table.shape == (32, 256)
@@ -578,11 +609,13 @@ class TestAdam:
 _STEP_FAULTS = """
 import resource
 import numpy as np
+from qst.config import RunConfig
 from qst.optim import Adam
 from qst.prior import PriorConfig, SkillPrior
 
 rng = np.random.default_rng(0)
-prior = SkillPrior(PriorConfig(vocab=500, n_tokens=8, dim=128, layers=2, heads=4, obs_dim=4), ["a", "b"], rng)
+cfg = RunConfig(fsq_levels=(5, 5, 5, 4), prior_dim=128, prior_layers=2, prior_heads=4)  # vocab 500
+prior = SkillPrior(PriorConfig.from_run_config(cfg), ["a", "b"], rng)
 opt = Adam(prior.params(), lr=1e-4)
 task, obs, targets = rng.integers(0, 2, 32), rng.normal(size=(32, 1, 4)), rng.integers(0, 500, (32, 8))
 
